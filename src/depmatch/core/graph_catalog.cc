@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -119,64 +120,66 @@ bool EntryCompatible(Cardinality cardinality, size_t query_width,
 }  // namespace
 
 Status GraphCatalog::Insert(std::string name, DependencyGraph graph) {
-  if (index_by_name_.count(name) > 0) {
+  const std::unordered_map<std::string, size_t>* slots = slot_by_name_.get();
+  if (slots != nullptr && slots->count(name) > 0) {
     return AlreadyExistsError(
         StrFormat("catalog already holds a graph named '%s'", name.c_str()));
   }
   GraphSignature signature(graph);
-  index_by_name_.emplace(name, names_.size());
-  names_.push_back(std::move(name));
-  graphs_.push_back(std::move(graph));
-  signatures_.push_back(std::move(signature));
+  slot_by_name_.Mutable().emplace(name, entries_.size());
+  entries_.push_back(std::make_shared<const Entry>(
+      Entry{std::move(name), std::move(graph), std::move(signature)}));
   // The tiered index covers a frozen entry set; a new entry invalidates
   // it rather than risking a stale (non-dominating) envelope.
-  index_.reset();
+  index_.Reset();
   return OkStatus();
 }
 
 Status GraphCatalog::UpdateEntry(std::string_view name, DependencyGraph graph,
                                  const CatalogIndexOptions& index_options) {
-  Result<size_t> entry = Find(name);
-  if (!entry.ok()) return entry.status();
+  Result<size_t> slot = Find(name);
+  if (!slot.ok()) return slot.status();
   GraphSignature signature(graph);
-  graphs_[*entry] = std::move(graph);
-  signatures_[*entry] = std::move(signature);
-  if (index_.has_value() &&
-      !index_->UpdateEntry(*entry, signatures_[*entry], index_options)) {
+  entries_[*slot] = std::make_shared<const Entry>(
+      Entry{std::string(name), std::move(graph), std::move(signature)});
+  if (index_.get() != nullptr &&
+      !index_.Mutable().UpdateEntry(*slot, entries_[*slot]->signature,
+                                    index_options)) {
     // The entry is not covered by the index (stale or partial build);
     // drop the index rather than risk a non-dominating envelope.
-    index_.reset();
+    index_.Reset();
   }
   return OkStatus();
 }
 
 Result<size_t> GraphCatalog::Find(std::string_view name) const {
-  auto it = index_by_name_.find(std::string(name));
-  if (it == index_by_name_.end()) {
-    return NotFoundError(
-        StrFormat("no catalog entry named '%s'", std::string(name).c_str()));
+  const std::unordered_map<std::string, size_t>* slots = slot_by_name_.get();
+  if (slots != nullptr) {
+    auto it = slots->find(std::string(name));
+    if (it != slots->end()) return it->second;
   }
-  return it->second;
+  return NotFoundError(
+      StrFormat("no catalog entry named '%s'", std::string(name).c_str()));
 }
 
 void GraphCatalog::BuildIndex(const CatalogIndexOptions& options) {
   std::vector<const GraphSignature*> signatures;
-  signatures.reserve(signatures_.size());
-  for (const GraphSignature& signature : signatures_) {
-    signatures.push_back(&signature);
+  signatures.reserve(entries_.size());
+  for (const std::shared_ptr<const Entry>& entry : entries_) {
+    signatures.push_back(&entry->signature);
   }
-  index_ = CatalogTieredIndex::Build(signatures, options);
+  index_.Reset(CatalogTieredIndex::Build(signatures, options));
 }
 
 Status GraphCatalog::Save(const std::string& path) const {
   std::string out;
   out.append(kCatalogMagic, sizeof(kCatalogMagic));
   graphio::AppendU32(&out, kCatalogFormatVersion);
-  graphio::AppendU64(&out, static_cast<uint64_t>(names_.size()));
-  for (size_t i = 0; i < names_.size(); ++i) {
-    graphio::AppendU64(&out, static_cast<uint64_t>(names_[i].size()));
-    out.append(names_[i]);
-    std::string blob = SerializeGraphBinary(graphs_[i]);
+  graphio::AppendU64(&out, static_cast<uint64_t>(entries_.size()));
+  for (const std::shared_ptr<const Entry>& entry : entries_) {
+    graphio::AppendU64(&out, static_cast<uint64_t>(entry->name.size()));
+    out.append(entry->name);
+    std::string blob = SerializeGraphBinary(entry->graph);
     graphio::AppendU64(&out, static_cast<uint64_t>(blob.size()));
     out.append(blob);
   }

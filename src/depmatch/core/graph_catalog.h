@@ -55,11 +55,13 @@
 #ifndef DEPMATCH_CORE_GRAPH_CATALOG_H_
 #define DEPMATCH_CORE_GRAPH_CATALOG_H_
 
+#include <atomic>
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "depmatch/common/status.h"
@@ -72,42 +74,57 @@
 
 namespace depmatch {
 
+// A GraphCatalog is a value whose copies share immutable state. Each
+// entry (name, graph, signature) is stored once and held by every copy
+// that contains it; the name-to-slot map and the tiered index are held
+// the same way. Copying a catalog therefore costs one pointer per entry,
+// and dropping a copy frees only what no other copy still holds. A
+// mutation never reaches another copy: UpdateEntry installs a new entry,
+// and a copy that writes the shared map or index clones it first (see
+// CopyOnWrite below). Copies may be read and dropped on any thread; as
+// for any value type, one catalog object must not be written while it
+// is read or copied.
 class GraphCatalog {
  public:
   GraphCatalog() = default;
 
   // Adds a named graph; the node signature is computed here, once.
   // Fails with AlreadyExists on a duplicate name. Invalidates a
-  // previously built tiered index.
+  // previously built tiered index. Clones the name map only when a copy
+  // of this catalog shares it, so a loop of inserts into one catalog
+  // stays linear in its size.
   Status Insert(std::string name, DependencyGraph graph);
 
-  // Replaces an existing entry's graph in place (the incremental-append
-  // path, graph/incremental_builder.h): only that entry's signature is
-  // recomputed, and a built tiered index is kept live by widening the
-  // entry's root-to-leaf envelope path (CatalogTieredIndex::UpdateEntry)
-  // instead of being invalidated — searches through the updated catalog
-  // stay bit-identical to a flat scan over the updated entries. Fails
+  // Replaces an existing entry's graph (the incremental-append path,
+  // graph/incremental_builder.h): a new entry with a recomputed
+  // signature takes the slot, and a built tiered index is kept live by
+  // widening the entry's root-to-leaf envelope path
+  // (CatalogTieredIndex::UpdateEntry) on this catalog's own copy of the
+  // index instead of being invalidated — searches through the updated
+  // catalog stay bit-identical to a flat scan over the updated entries.
+  // Copies made before the call keep the old entry and index. Fails
   // with NotFound when no entry has `name`.
   Status UpdateEntry(std::string_view name, DependencyGraph graph,
                      const CatalogIndexOptions& index_options = {});
 
-  size_t size() const { return names_.size(); }
-  bool empty() const { return names_.empty(); }
-  const std::string& name(size_t i) const { return names_[i]; }
-  const DependencyGraph& graph(size_t i) const { return graphs_[i]; }
-  const GraphSignature& signature(size_t i) const { return signatures_[i]; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  const std::string& name(size_t i) const { return entries_[i]->name; }
+  const DependencyGraph& graph(size_t i) const { return entries_[i]->graph; }
+  const GraphSignature& signature(size_t i) const {
+    return entries_[i]->signature;
+  }
 
   // Entry index for `name`, or NotFound.
   Result<size_t> Find(std::string_view name) const;
 
-  // (Re)builds the tiered index over the current entries. O(N log N)
-  // and deterministic; SearchCatalog uses it automatically when present
-  // (CatalogSearchOptions::use_index).
+  // (Re)builds the tiered index over the current entries and installs
+  // it in place of any index this catalog shared with its copies.
+  // O(N log N) and deterministic; SearchCatalog uses it automatically
+  // when present (CatalogSearchOptions::use_index).
   void BuildIndex(const CatalogIndexOptions& options = {});
   // The built index, or nullptr if absent / invalidated by Insert.
-  const CatalogTieredIndex* index() const {
-    return index_.has_value() ? &*index_ : nullptr;
-  }
+  const CatalogTieredIndex* index() const { return index_.get(); }
 
   // Versioned binary catalog file: a checksummed envelope of per-entry
   // (name, graph blob) records, each blob itself checksummed
@@ -119,11 +136,64 @@ class GraphCatalog {
   static Result<GraphCatalog> Load(const std::string& path);
 
  private:
-  std::vector<std::string> names_;
-  std::vector<DependencyGraph> graphs_;
-  std::vector<GraphSignature> signatures_;
-  std::unordered_map<std::string, size_t> index_by_name_;
-  std::optional<CatalogTieredIndex> index_;
+  struct Entry {
+    std::string name;
+    DependencyGraph graph;
+    GraphSignature signature;
+  };
+
+  // A heap value that catalog copies share until one of them writes it.
+  // Copying marks the value shared for good, in the source as well, and
+  // Mutable() clones a shared value before returning it, so a write
+  // never reaches another copy. The mark is sticky rather than read off
+  // shared_ptr::use_count(): a use count of 1 does not order a release
+  // of the last co-owner on another thread before this thread's write.
+  // The mark is atomic because copies of one const catalog may be made
+  // concurrently.
+  template <typename T>
+  class CopyOnWrite {
+   public:
+    CopyOnWrite() = default;
+    CopyOnWrite(const CopyOnWrite& other) : node_(other.Share()) {}
+    CopyOnWrite& operator=(const CopyOnWrite& other) {
+      node_ = other.Share();
+      return *this;
+    }
+    CopyOnWrite(CopyOnWrite&&) noexcept = default;
+    CopyOnWrite& operator=(CopyOnWrite&&) noexcept = default;
+
+    const T* get() const { return node_ ? &node_->value : nullptr; }
+    // The value for writing: default-constructed when absent, cloned
+    // first when a copy shares it.
+    T& Mutable() {
+      if (node_ == nullptr) {
+        node_ = std::make_shared<Node>(T{});
+      } else if (node_->shared.load(std::memory_order_relaxed)) {
+        node_ = std::make_shared<Node>(node_->value);
+      }
+      return node_->value;
+    }
+    void Reset() { node_.reset(); }
+    void Reset(T value) { node_ = std::make_shared<Node>(std::move(value)); }
+
+   private:
+    struct Node {
+      explicit Node(T v) : value(std::move(v)) {}
+      T value;
+      std::atomic<bool> shared{false};
+    };
+    std::shared_ptr<Node> Share() const {
+      if (node_ != nullptr) {
+        node_->shared.store(true, std::memory_order_relaxed);
+      }
+      return node_;
+    }
+    std::shared_ptr<Node> node_;
+  };
+
+  std::vector<std::shared_ptr<const Entry>> entries_;
+  CopyOnWrite<std::unordered_map<std::string, size_t>> slot_by_name_;
+  CopyOnWrite<CatalogTieredIndex> index_;
 };
 
 struct CatalogSearchOptions {

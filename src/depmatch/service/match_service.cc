@@ -419,33 +419,22 @@ Response MatchService::ExecuteInsert(const Request& request) {
   // Copy-on-write publication: the successor catalog is assembled here,
   // outside any lock, while readers keep serving the current snapshot.
   // Only the dispatcher runs inserts, so publications are serialized.
+  // The copy shares every entry with the current catalog; a replacement
+  // swaps in one new entry and the re-index below covers it.
   std::shared_ptr<const ServiceSnapshot> current = snapshot();
-  GraphCatalog next;
-  bool replaced = false;
-  if (current->catalog.Find(request.insert.name).ok()) {
-    if (!request.insert.replace_existing) {
-      return MakeErrorResponse(
-          request, WireStatus::kAlreadyExists,
-          StrFormat("entry '%s' already exists and replace_existing is off",
-                    request.insert.name.c_str()));
-    }
-    replaced = true;
-    // GraphCatalog has no erase: rebuild with the replacement swapped
-    // in. Signatures are recomputed deterministically at insert, so the
-    // surviving entries are bit-identical to their previous selves.
-    for (size_t i = 0; i < current->catalog.size(); ++i) {
-      const std::string& name = current->catalog.name(i);
-      Status inserted =
-          next.Insert(name, name == request.insert.name
-                                ? graph
-                                : current->catalog.graph(i));
-      if (!inserted.ok()) return MakeStatusResponse(request, inserted);
-    }
-  } else {
-    next = current->catalog;
-    Status inserted = next.Insert(request.insert.name, std::move(graph));
-    if (!inserted.ok()) return MakeStatusResponse(request, inserted);
+  const bool replaced = current->catalog.Find(request.insert.name).ok();
+  if (replaced && !request.insert.replace_existing) {
+    return MakeErrorResponse(
+        request, WireStatus::kAlreadyExists,
+        StrFormat("entry '%s' already exists and replace_existing is off",
+                  request.insert.name.c_str()));
   }
+  GraphCatalog next = current->catalog;
+  Status inserted =
+      replaced ? next.UpdateEntry(request.insert.name, std::move(graph),
+                                  options_.index)
+               : next.Insert(request.insert.name, std::move(graph));
+  if (!inserted.ok()) return MakeStatusResponse(request, inserted);
 
   std::shared_ptr<const ServiceSnapshot> published =
       MakeServiceSnapshot(current->version + 1, std::move(next),
@@ -463,17 +452,7 @@ Response MatchService::ExecuteInsert(const Request& request) {
   } else {
     builders_.erase(request.insert.name);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.snapshot_history > 0) {
-      history_.push_front(snapshot_);
-      while (history_.size() > options_.snapshot_history) {
-        history_.pop_back();
-      }
-    }
-    snapshot_ = std::move(published);
-    ++counters_.inserts_total;
-  }
+  Publish(std::move(published), &Counters::inserts_total);
   return response;
 }
 
@@ -508,9 +487,10 @@ Response MatchService::ExecuteAppend(const Request& request) {
   Result<DependencyGraph> refreshed = builder.Refresh();
   if (!refreshed.ok()) return MakeStatusResponse(request, refreshed.status());
 
-  // Copy-on-write publication, but cheaper than an insert's: copying
-  // the catalog carries its tiered index along, UpdateEntry widens just
-  // the refreshed entry's root-to-leaf envelope path, and the
+  // Copy-on-write publication, but cheaper than an insert's: the copy
+  // shares every entry and the tiered index with the current catalog,
+  // UpdateEntry swaps in the refreshed entry and widens its own copy of
+  // the index along that entry's root-to-leaf envelope path, and the
   // index-preserving snapshot maker skips the O(N log N) re-index
   // entirely. Search against the widened index stays bit-identical to a
   // flat scan (core/catalog_index.h's widen-only contract).
@@ -526,18 +506,30 @@ Response MatchService::ExecuteAppend(const Request& request) {
   response.append.catalog_entries = published->catalog.size();
   response.append.rows_total = builder.rows();
   response.append.generation = builder.generation();
+  Publish(std::move(published), &Counters::appends_total);
+  return response;
+}
+
+void MatchService::Publish(std::shared_ptr<const ServiceSnapshot> published,
+                           uint64_t Counters::*write_counter) {
+  // The displaced snapshot may be the last owner of an entry, an index
+  // and a name map; it is freed after the lock is released, so
+  // admission, Stats() and SnapshotAt() never wait on that free.
+  std::shared_ptr<const ServiceSnapshot> evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (options_.snapshot_history > 0) {
-      history_.push_front(snapshot_);
-      while (history_.size() > options_.snapshot_history) {
+      history_.push_front(std::move(snapshot_));
+      if (history_.size() > options_.snapshot_history) {
+        evicted = std::move(history_.back());
         history_.pop_back();
       }
+    } else {
+      evicted = std::move(snapshot_);
     }
     snapshot_ = std::move(published);
-    ++counters_.appends_total;
+    ++(counters_.*write_counter);
   }
-  return response;
 }
 
 }  // namespace service

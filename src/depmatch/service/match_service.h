@@ -26,9 +26,10 @@
 //   * Execution reads the published snapshot pointer exactly once and
 //     works against that immutable snapshot throughout, so searches
 //     never block on inserts. An insert builds the successor snapshot
-//     outside the lock (copy + insert + re-index) and swaps the
-//     published pointer; because only the dispatcher executes inserts,
-//     publications are serialized without a writer lock.
+//     outside the lock (copy + insert + re-index; the copy shares every
+//     entry, see core/graph_catalog.h) and swaps the published pointer;
+//     because only the dispatcher executes inserts, publications are
+//     serialized without a writer lock.
 //
 // Determinism: execution uses single-threaded library calls
 // (num_threads = 1 inside each match/search), and batching only
@@ -175,9 +176,15 @@ class MatchService {
   Response ExecuteSingle(const Request& request) DEPMATCH_EXCLUDES(mu_);
   Response ExecuteInsert(const Request& request) DEPMATCH_EXCLUDES(mu_);
   // Appends delta rows to a table-backed entry's incremental builder,
-  // refreshes its graph in O(delta), widens the copied catalog's index
-  // in place, and publishes — never re-indexing. Dispatcher thread only.
+  // refreshes its graph in O(delta), widens the copied catalog's own
+  // index copy, and publishes — never re-indexing. Dispatcher thread
+  // only.
   Response ExecuteAppend(const Request& request) DEPMATCH_EXCLUDES(mu_);
+  // Makes `published` the current snapshot, pushes the displaced one
+  // into the history, and counts the write in `write_counter`. A
+  // snapshot that leaves the history is released after mu_ is dropped.
+  void Publish(std::shared_ptr<const ServiceSnapshot> published,
+               uint64_t Counters::*write_counter) DEPMATCH_EXCLUDES(mu_);
   StatsResponse StatsLocked() const DEPMATCH_REQUIRES(mu_);
   // Clears the stat cache when it outgrew the configured bound.
   void RecycleStatCache();

@@ -11,7 +11,10 @@
 // (SearchResponse::snapshot_version). An insert builds a *new* snapshot
 // — copy, apply, re-index, all outside any lock — and swaps the
 // published pointer; in-flight requests keep the old snapshot alive
-// through their shared_ptr until they finish.
+// through their shared_ptr until they finish. Successive snapshots
+// share every catalog entry they have in common (core/graph_catalog.h),
+// so a copy costs one pointer per entry and releasing a snapshot frees
+// only the entries no newer snapshot holds.
 
 #ifndef DEPMATCH_SERVICE_SNAPSHOT_H_
 #define DEPMATCH_SERVICE_SNAPSHOT_H_
@@ -48,10 +51,10 @@ std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshot(
 // Wraps an already-prepared catalog into a snapshot as-is, WITHOUT
 // rebuilding the tiered index: index_built reflects whatever index the
 // catalog carries. This is the incremental-append publication path — the
-// dispatcher copies the current catalog (index included), refreshes one
-// entry in place (GraphCatalog::UpdateEntry keeps the index live by
-// widening its envelope path), and publishes in O(delta) instead of the
-// O(N log N) re-index a full MakeServiceSnapshot would pay.
+// dispatcher copies the current catalog (sharing its entries and index),
+// replaces one entry (GraphCatalog::UpdateEntry keeps the index live by
+// widening the envelope path of its own index copy), and publishes
+// without the O(N log N) re-index a full MakeServiceSnapshot would pay.
 std::shared_ptr<const ServiceSnapshot> MakeServiceSnapshotPreservingIndex(
     uint64_t version, GraphCatalog catalog);
 

@@ -138,6 +138,93 @@ TEST(GraphCatalogTest, UpdateEntryKeepsIndexLiveAndSearchBitIdentical) {
   }
 }
 
+// Every double a signature holds, as bits.
+std::vector<uint64_t> SignatureBits(const GraphSignature& signature) {
+  std::vector<uint64_t> bits;
+  for (size_t i = 0; i < signature.size(); ++i) {
+    bits.push_back(std::bit_cast<uint64_t>(signature.entropy(i)));
+    for (size_t p = 0; p < signature.profile_length(); ++p) {
+      bits.push_back(std::bit_cast<uint64_t>(signature.ProfileDesc(i)[p]));
+      bits.push_back(std::bit_cast<uint64_t>(signature.ProfileAsc(i)[p]));
+    }
+  }
+  return bits;
+}
+
+// Every index envelope, as bits, node by node.
+std::vector<uint64_t> EnvelopeBits(const CatalogTieredIndex& index) {
+  std::vector<uint64_t> bits;
+  for (size_t id = 0; id < index.num_nodes(); ++id) {
+    const ClusterEnvelope& envelope = index.node(id).envelope;
+    for (const std::vector<double>* side :
+         {&envelope.entropy_bounds, &envelope.profile_bounds}) {
+      bits.push_back(side->size());
+      for (double bound : *side) bits.push_back(std::bit_cast<uint64_t>(bound));
+    }
+    bits.push_back(envelope.min_width);
+    bits.push_back(envelope.max_width);
+  }
+  return bits;
+}
+
+TEST(GraphCatalogTest, CopySharesEntriesAndIsolatesUpdates) {
+  GraphCatalog original = MixedCatalog(31, 20);
+  original.BuildIndex();
+  ASSERT_NE(original.index(), nullptr);
+  constexpr size_t kUpdated = 7;
+  const std::string name = original.name(kUpdated);
+  const DependencyGraph* original_graph = &original.graph(kUpdated);
+  const size_t original_width = original_graph->size();
+  const std::vector<uint64_t> original_signature =
+      SignatureBits(original.signature(kUpdated));
+  const std::vector<uint64_t> original_envelopes =
+      EnvelopeBits(*original.index());
+
+  GraphCatalog copy = original;
+  // A wider replacement, so the copy's index must widen its envelopes.
+  ASSERT_TRUE(
+      copy.UpdateEntry(name, RandomGraph(original_width + 2, 4242)).ok());
+
+  // Untouched entries are the same objects in both catalogs.
+  ASSERT_EQ(copy.size(), original.size());
+  for (size_t e = 0; e < original.size(); ++e) {
+    if (e == kUpdated) continue;
+    EXPECT_EQ(&copy.graph(e), &original.graph(e)) << "entry " << e;
+    EXPECT_EQ(&copy.signature(e), &original.signature(e)) << "entry " << e;
+  }
+  EXPECT_EQ(copy.graph(kUpdated).size(), original_width + 2);
+
+  // The update reached neither the original's entry nor its index.
+  EXPECT_EQ(&original.graph(kUpdated), original_graph);
+  EXPECT_EQ(original.graph(kUpdated).size(), original_width);
+  EXPECT_EQ(SignatureBits(original.signature(kUpdated)), original_signature);
+  ASSERT_NE(original.index(), nullptr);
+  ASSERT_NE(copy.index(), nullptr);
+  EXPECT_NE(copy.index(), original.index());
+  EXPECT_EQ(EnvelopeBits(*original.index()), original_envelopes);
+  EXPECT_NE(EnvelopeBits(*copy.index()), original_envelopes);
+
+  // Each catalog's indexed search equals its own flat scan.
+  DependencyGraph query = RandomGraph(5, 4343);
+  CatalogSearchOptions options;
+  options.k = 5;
+  options.match.cardinality = Cardinality::kPartial;
+  options.match.metric = MetricKind::kMutualInfoNormal;
+  for (const GraphCatalog* catalog : {&original, &copy}) {
+    options.use_index = false;
+    options.num_threads = 1;
+    auto flat = SearchCatalog(query, *catalog, options);
+    ASSERT_TRUE(flat.ok()) << flat.status();
+    options.use_index = true;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      options.num_threads = threads;
+      auto indexed = SearchCatalog(query, *catalog, options);
+      ASSERT_TRUE(indexed.ok()) << indexed.status();
+      ExpectSameRanking(*flat, *indexed, "indexed vs flat after a copy");
+    }
+  }
+}
+
 TEST(GraphCatalogTest, SaveLoadRoundTripIsBitIdentical) {
   GraphCatalog catalog = MixedCatalog(7, 6);
   std::string path = testing::TempDir() + "/catalog_roundtrip.dmc";

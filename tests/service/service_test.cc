@@ -14,6 +14,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "depmatch/datagen/graph_corpus.h"
 #include "depmatch/graph/graph_builder.h"
 #include "depmatch/service/protocol.h"
+#include "depmatch/service/snapshot.h"
 #include "depmatch/table/table.h"
 
 namespace depmatch {
@@ -246,6 +248,32 @@ TEST(MatchServiceTest, InsertRespectsReplaceExisting) {
   EXPECT_TRUE(replaced.insert.replaced);
   EXPECT_EQ(replaced.insert.snapshot_version, 2u);
   EXPECT_EQ(replaced.insert.catalog_entries, kCorpusEntries);
+
+  // The replaced snapshot serves exactly what a catalog built from
+  // scratch with the replacement in the same slot serves.
+  GraphCatalog scratch;
+  GraphCorpusOptions corpus;
+  Result<DependencyGraph> replacement =
+      BuildDependencyGraph(insert.insert.table);
+  ASSERT_TRUE(replacement.ok());
+  for (size_t i = 0; i < kCorpusEntries; ++i) {
+    ASSERT_TRUE(scratch
+                    .Insert(CorpusEntryName(i),
+                            i == 0 ? *replacement : CorpusEntry(corpus, i))
+                    .ok());
+  }
+  std::shared_ptr<const ServiceSnapshot> rebuilt = MakeServiceSnapshot(
+      2, std::move(scratch), options.build_index, options.index);
+  for (size_t i = 0; i < kCorpusEntries; ++i) {
+    Request search = SearchStoredRequest(CorpusEntryName(i), kCorpusEntries,
+                                         9 + i);
+    Response served = service.Process(search);
+    ASSERT_EQ(served.status, WireStatus::kOk);
+    EXPECT_EQ(served.search.snapshot_version, 2u);
+    ExpectBitIdenticalSearch(
+        served,
+        MatchService::ExecuteSearchDirect(search, *rebuilt, service.options()));
+  }
 }
 
 TEST(MatchServiceTest, AppendRefreshesEntryBitIdenticalToColdRebuild) {
@@ -269,6 +297,7 @@ TEST(MatchServiceTest, AppendRefreshesEntryBitIdenticalToColdRebuild) {
   for (uint64_t step = 0; step < 2; ++step) {
     Table delta = MakeSmallTable(60 + step * 17);
     accumulated = ConcatRows(accumulated, delta);
+    auto before = service.snapshot();
     Response appended = service.Process(
         AppendRequestFor("live_entry", delta, 21 + step));
     ASSERT_EQ(appended.status, WireStatus::kOk) << appended.message;
@@ -284,6 +313,17 @@ TEST(MatchServiceTest, AppendRefreshesEntryBitIdenticalToColdRebuild) {
     Result<DependencyGraph> cold = BuildDependencyGraph(accumulated);
     ASSERT_TRUE(cold.ok());
     ExpectBitIdenticalGraphs(snapshot->catalog.graph(*entry), *cold);
+
+    // The publication shares every other entry with its predecessor.
+    ASSERT_EQ(before->catalog.size(), snapshot->catalog.size());
+    for (size_t i = 0; i < snapshot->catalog.size(); ++i) {
+      if (i == *entry) {
+        EXPECT_NE(&before->catalog.graph(i), &snapshot->catalog.graph(i));
+      } else {
+        EXPECT_EQ(&before->catalog.graph(i), &snapshot->catalog.graph(i))
+            << "entry " << i;
+      }
+    }
   }
 
   // The append path must not have dropped the tiered index: the

@@ -16,9 +16,18 @@
 //
 // Concurrent appends may change *which* snapshot serves a request,
 // never *what* any published snapshot contains.
+//
+// A second phase makes readers the last owners of snapshots. Each held
+// reader grabs the snapshot one of its searches was served from, holds
+// it across at least kHeldPublications further appends, and replays the
+// search only after the service's history has evicted that snapshot.
+// Releasing it then frees, on the reader thread, the entry and index
+// copy no newer snapshot shares, while the dispatcher keeps publishing
+// snapshots that share every other entry with it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -48,6 +57,8 @@ constexpr size_t kAppendsPerClient = 4;
 constexpr size_t kSearchers = 4;
 constexpr size_t kSearchesPerClient = 6;
 constexpr size_t kInserterRounds = 2;
+constexpr size_t kHolders = 3;
+constexpr size_t kHeldPublications = 50;
 
 Table MakeSliceTable(uint64_t seed, size_t rows) {
   Result<Schema> schema = Schema::Create({
@@ -80,6 +91,21 @@ Table ConcatRows(const Table& base, const Table& delta) {
   Result<Table> table = std::move(builder).Build();
   EXPECT_TRUE(table.ok());
   return *std::move(table);
+}
+
+void ExpectBitIdenticalSearch(const Response& served, const Response& direct) {
+  ASSERT_EQ(served.status, direct.status);
+  ASSERT_EQ(served.search.hits.size(), direct.search.hits.size());
+  for (size_t i = 0; i < direct.search.hits.size(); ++i) {
+    const SearchHit& got = served.search.hits[i];
+    const SearchHit& want = direct.search.hits[i];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.ranking_key),
+              std::bit_cast<uint64_t>(want.ranking_key));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.metric_value),
+              std::bit_cast<uint64_t>(want.metric_value));
+    EXPECT_EQ(got.pairs, want.pairs);
+  }
 }
 
 std::string AppendEntryName(size_t appender) {
@@ -136,8 +162,10 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
   };
   std::vector<std::vector<Response>> append_responses(kAppenders);
   std::vector<std::vector<ServedSearch>> searches(kSearchers);
-  std::vector<bool> appender_ok(kAppenders, false);
-  std::vector<bool> searcher_ok(kSearchers, false);
+  // One byte per flag: std::vector<bool> packs flags into shared words,
+  // so threads setting neighbouring flags would race.
+  std::vector<char> appender_ok(kAppenders, 0);
+  std::vector<char> searcher_ok(kSearchers, 0);
   bool inserter_ok = false;
 
   {
@@ -261,28 +289,111 @@ TEST(IncrementalStressTest, ConcurrentAppendsSearchesAndInsertsReplayExactly) {
       ASSERT_NE(snapshot, nullptr)
           << "version " << served.response.search.snapshot_version
           << " aged out of history";
-      Response direct = MatchService::ExecuteSearchDirect(
-          served.request, *snapshot, service.options());
-      ASSERT_EQ(served.response.status, direct.status);
-      ASSERT_EQ(served.response.search.hits.size(),
-                direct.search.hits.size());
-      for (size_t i = 0; i < direct.search.hits.size(); ++i) {
-        const SearchHit& got = served.response.search.hits[i];
-        const SearchHit& want = direct.search.hits[i];
-        EXPECT_EQ(got.name, want.name);
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.ranking_key),
-                  std::bit_cast<uint64_t>(want.ranking_key));
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.metric_value),
-                  std::bit_cast<uint64_t>(want.metric_value));
-        EXPECT_EQ(got.pairs, want.pairs);
-      }
+      ExpectBitIdenticalSearch(
+          served.response, MatchService::ExecuteSearchDirect(
+                               served.request, *snapshot, service.options()));
       ++verified;
     }
   }
   EXPECT_GT(verified, 0u);
 
+  // Held readers. The churn appender pauses after each of its first
+  // kHolders appends until reader h has grabbed the snapshot that append
+  // published, so every reader holds a different version.
+  struct HeldSearch {
+    Request request;
+    Response served;
+    Response replayed;
+    bool grabbed = false;
+    bool evicted = false;
+  };
+  std::vector<HeldSearch> held(kHolders);
+  const size_t churn_appends =
+      kHolders + kHeldPublications + service_options.snapshot_history;
+  std::atomic<size_t> grab_turn{0};
+  std::atomic<size_t> grabs_done{0};
+  std::atomic<bool> churn_done{false};
+  size_t churn_acked = 0;
+  {
+    // depmatch-lint: allow(raw-thread)
+    std::vector<std::thread> threads;
+    threads.reserve(kHolders + 1);
+    // depmatch-lint: allow(raw-thread) — the churn appender publishes
+    // while the held readers wait, replay and release.
+    threads.emplace_back([&] {
+      Result<ServiceClient> client =
+          ServiceClient::Connect(server.socket_path());
+      for (size_t j = 0; client.ok() && j < churn_appends; ++j) {
+        Result<Response> appended = client->AppendRows(
+            AppendEntryName(0), MakeSliceTable(7000 + j, 8));
+        if (!appended.ok() || appended->status != WireStatus::kOk) break;
+        ++churn_acked;
+        if (j < kHolders) {
+          grab_turn.store(j + 1);
+          while (grabs_done.load() <= j) std::this_thread::yield();
+        }
+      }
+      churn_done.store(true);
+    });
+    for (size_t h = 0; h < kHolders; ++h) {
+      // depmatch-lint: allow(raw-thread) — each reader owns its snapshot
+      // on its own thread.
+      threads.emplace_back([&, h] {
+        HeldSearch& mine = held[h];
+        while (grab_turn.load() <= h && !churn_done.load()) {
+          std::this_thread::yield();
+        }
+        mine.request.type = RequestType::kSearch;
+        mine.request.search.source = SearchSource::kStoredEntry;
+        mine.request.search.stored_name = AppendEntryName(0);
+        mine.request.search.k = 3;
+        std::shared_ptr<const ServiceSnapshot> snapshot;
+        Result<ServiceClient> client =
+            ServiceClient::Connect(server.socket_path());
+        if (client.ok()) {
+          Result<Response> served = client->SearchStored(AppendEntryName(0), 3);
+          if (served.ok() && served->status == WireStatus::kOk) {
+            mine.served = *std::move(served);
+            mine.request.request_id = mine.served.request_id;
+            snapshot = service.SnapshotAt(mine.served.search.snapshot_version);
+          }
+        }
+        mine.grabbed = snapshot != nullptr;
+        grabs_done.fetch_add(1);
+        if (snapshot == nullptr) return;
+        const uint64_t version = snapshot->version;
+        auto last_owner = [&] {
+          return service.snapshot()->version >= version + kHeldPublications &&
+                 service.SnapshotAt(version) == nullptr &&
+                 snapshot.use_count() == 1;
+        };
+        while (!last_owner() && !churn_done.load()) std::this_thread::yield();
+        mine.evicted = last_owner();
+        mine.replayed =
+            MatchService::ExecuteSearchDirect(mine.request, *snapshot,
+                                              service.options());
+        snapshot.reset();
+      });
+    }
+    // depmatch-lint: allow(raw-thread)
+    for (std::thread& thread : threads) thread.join();
+  }
+  EXPECT_EQ(churn_acked, churn_appends);
+  for (size_t h = 0; h < kHolders; ++h) {
+    const HeldSearch& mine = held[h];
+    ASSERT_TRUE(mine.grabbed) << "reader " << h << " could not grab";
+    EXPECT_TRUE(mine.evicted)
+        << "reader " << h << " replayed before it was the last owner";
+    if (h > 0) {
+      EXPECT_GT(mine.served.search.snapshot_version,
+                held[h - 1].served.search.snapshot_version);
+    }
+    ExpectBitIdenticalSearch(mine.served, mine.replayed);
+  }
+
   StatsResponse stats = service.Stats();
-  EXPECT_EQ(stats.appends_total, kAppenders * kAppendsPerClient);
+  EXPECT_EQ(stats.appends_total,
+            kAppenders * kAppendsPerClient + churn_appends);
   EXPECT_EQ(stats.inserts_total, kAppenders + kInserterRounds);
   EXPECT_EQ(stats.shed_overload_total, 0u);
 

@@ -104,7 +104,9 @@ TEST(ServiceStressTest, ConcurrentSearchesAndInsertsStayBitIdentical) {
     size_t round = 0;
   };
   std::vector<std::vector<ServedSearch>> searches(kClients);
-  std::vector<bool> client_ok(kClients, false);
+  // One byte per flag: std::vector<bool> packs flags into shared words,
+  // so threads setting neighbouring flags would race.
+  std::vector<char> client_ok(kClients, 0);
 
   {
     // depmatch-lint: allow(raw-thread)

@@ -97,6 +97,9 @@ else
   fi
 
   # ---- 5. ASan+UBSan smoke ------------------------------------------------
+  # depbench's smoke builds its own ASan+UBSan tree (.bench_build/) and
+  # runs every workload's correctness gates, including serve_ingest's
+  # replay of each served response against the snapshot it names.
   note "ASan+UBSan smoke (preset: asan)"
   if cmake --preset asan >/dev/null \
       && cmake --build --preset asan -j "$JOBS" \
@@ -109,7 +112,9 @@ else
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_catalog_scale --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_service --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_incremental --smoke \
-      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/tsan_stress_test; then
+      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/tsan_stress_test \
+      && ASAN_OPTIONS=detect_leaks=1 DEPMATCH_SANITIZE=address \
+          bench/depbench/run.sh --smoke; then
     echo "asan smoke clean"
   else
     fail "ASan+UBSan smoke failed"
