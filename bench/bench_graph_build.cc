@@ -12,19 +12,13 @@
 //   * scalar    — JointKernelDispatch::kScalar: the legacy single-lane
 //                 loops, so the vectorized-vs-scalar gain is visible
 //   * sparse    — dense_cell_budget = 0, forcing the sparse fallback
-//   * sketch    — dense_cell_budget = 0 + SketchMode::kCountMin, pushing
-//                 every pair through the count-min tier (the throughput
-//                 ceiling of the approximate path); high-cardinality
-//                 configs only
 //   * seed_ref  — a faithful replica of the original per-pair path (one
 //                 JointHistogram hash map per pair, marginals recomputed
 //                 per pair), kept here as the fixed baseline the speedups
 //                 are measured against
 //
 // The bench also asserts that dense, scalar, and sparse builds produce
-// identical dependency graphs (exact double equality) before reporting,
-// and measures the sketch tier's accuracy (MI deltas and thresholded-edge
-// precision/recall vs exact) on the Figure-9 sample-size sweep fixtures.
+// identical dependency graphs (exact double equality) before reporting.
 //
 //   DEPMATCH_BENCH_REPS  repetitions per data point (default 5)
 
@@ -47,7 +41,6 @@
 #include "depmatch/graph/graph_builder.h"
 #include "depmatch/stats/entropy.h"
 #include "depmatch/stats/histogram.h"
-#include "depmatch/stats/joint_sketch.h"
 
 namespace depmatch {
 namespace {
@@ -145,10 +138,6 @@ Sample Measure(const Table& table, const Config& config,
   if (mode == "scalar") {
     options.stats.dispatch = JointKernelDispatch::kScalar;
   }
-  if (mode == "sketch") {
-    options.stats.dense_cell_budget = 0;
-    options.stats.sketch_mode = SketchMode::kCountMin;
-  }
 
   Sample sample{config, mode, reps, 1e300, 0.0};
   for (size_t rep = 0; rep < reps; ++rep) {
@@ -183,72 +172,6 @@ bool GraphsIdentical(const DependencyGraph& a, const DependencyGraph& b) {
 // The committed alphabet-4096 dense minimum before the kernel rework;
 // the acceptance bar for the rework is >= 2x below this.
 constexpr double kAlphabet4096BaselineMinMs = 428.335;
-
-// Sketch-vs-exact accuracy on one Figure-9 sweep fixture: MI deltas over
-// all pairs, plus precision/recall of the "strong edge" set (edges with
-// MI >= 20% of the strongest exact edge) when every pair is pushed
-// through the sketch tier.
-struct SketchAccuracy {
-  const char* dataset;
-  size_t rows;
-  double max_abs_mi_delta = 0.0;
-  double mean_abs_mi_delta = 0.0;
-  double precision = 1.0;
-  double recall = 1.0;
-};
-
-SketchAccuracy MeasureSketchAccuracy(const char* dataset, const Table& table,
-                                     size_t rows) {
-  DependencyGraphOptions exact_options;
-  exact_options.num_threads = 1;
-  DependencyGraphOptions sketch_options = exact_options;
-  sketch_options.stats.dense_cell_budget = 0;
-  sketch_options.stats.sketch_mode = SketchMode::kCountMin;
-
-  DependencyGraph exact = BuildDependencyGraph(table, exact_options).value();
-  DependencyGraph approx =
-      BuildDependencyGraph(table, sketch_options).value();
-  DEPMATCH_CHECK_EQ(exact.size(), approx.size());
-
-  SketchAccuracy acc{dataset, rows, 0.0, 0.0, 1.0, 1.0};
-  size_t n = exact.size();
-  size_t pairs = 0;
-  double sum_delta = 0.0;
-  double max_exact = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double delta = std::fabs(exact.mi(i, j) - approx.mi(i, j));
-      acc.max_abs_mi_delta = std::max(acc.max_abs_mi_delta, delta);
-      sum_delta += delta;
-      max_exact = std::max(max_exact, exact.mi(i, j));
-      ++pairs;
-    }
-  }
-  if (pairs > 0) acc.mean_abs_mi_delta = sum_delta / static_cast<double>(pairs);
-
-  double tau = 0.2 * max_exact;
-  size_t true_positive = 0, exact_positive = 0, approx_positive = 0;
-  if (tau > 0.0) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        bool in_exact = exact.mi(i, j) >= tau;
-        bool in_approx = approx.mi(i, j) >= tau;
-        exact_positive += in_exact ? 1 : 0;
-        approx_positive += in_approx ? 1 : 0;
-        true_positive += (in_exact && in_approx) ? 1 : 0;
-      }
-    }
-  }
-  if (approx_positive > 0) {
-    acc.precision = static_cast<double>(true_positive) /
-                    static_cast<double>(approx_positive);
-  }
-  if (exact_positive > 0) {
-    acc.recall = static_cast<double>(true_positive) /
-                 static_cast<double>(exact_positive);
-  }
-  return acc;
-}
 
 int Run(const std::string& output_path) {
   size_t reps = 5;
@@ -301,14 +224,10 @@ int Run(const std::string& output_path) {
       all_identical = false;
     }
 
-    for (const char* mode :
-         {"dense", "scalar", "sparse", "sketch", "seed_ref"}) {
+    for (const char* mode : {"dense", "scalar", "sparse", "seed_ref"}) {
       // The seed replica is serial; measuring it under a thread sweep
-      // would time a different implementation than the seed shipped. The
-      // sketch tier targets high-cardinality pairs, so it is only timed
-      // where they occur.
+      // would time a different implementation than the seed shipped.
       if (std::string(mode) == "seed_ref" && config.threads != 1) continue;
-      if (std::string(mode) == "sketch" && config.alphabet < 4096) continue;
       Sample sample = Measure(table, config, mode, reps);
       std::printf("rows=%-6zu attrs=%-3zu alphabet=%-5zu threads=%zu "
                   "%-8s min %8.2f ms   mean %8.2f ms\n",
@@ -343,28 +262,6 @@ int Run(const std::string& output_path) {
   std::printf("dense/scalar/sparse graphs identical: %s\n",
               all_identical ? "true" : "false");
 
-  // Sketch-tier accuracy on the Figure-9 sample-size sweep (lab exam and
-  // census fixtures at 1K/5K/10K tuples), with every pair forced through
-  // the sketch so the deltas measure the tier itself, not its gating.
-  const SketchParams sketch_params = SketchParams::FromBounds(
-      StatsOptions{}.sketch_epsilon, StatsOptions{}.sketch_delta);
-  std::vector<SketchAccuracy> accuracy;
-  for (size_t rows : {size_t{1000}, size_t{5000}, size_t{10000}}) {
-    accuracy.push_back(MeasureSketchAccuracy(
-        "lab_exam", benchutil::BuildLabTables(rows, 7).t1, rows));
-    accuracy.push_back(MeasureSketchAccuracy(
-        "census", benchutil::BuildCensusTables(rows, 7).t1, rows));
-  }
-  std::printf("\nsketch accuracy (eps=%.4f del=%.3f -> width=%u depth=%u)\n",
-              StatsOptions{}.sketch_epsilon, StatsOptions{}.sketch_delta,
-              sketch_params.width, sketch_params.depth);
-  for (const SketchAccuracy& acc : accuracy) {
-    std::printf("  %-9s rows=%-6zu max|dMI| %.5f  mean|dMI| %.6f  "
-                "precision %.3f  recall %.3f\n",
-                acc.dataset, acc.rows, acc.max_abs_mi_delta,
-                acc.mean_abs_mi_delta, acc.precision, acc.recall);
-  }
-
   std::FILE* out = std::fopen(output_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", output_path.c_str());
@@ -394,28 +291,6 @@ int Run(const std::string& output_path) {
   std::fprintf(out, "    \"dense_min_ms\": %.3f,\n", headline4096_dense_ms);
   std::fprintf(out, "    \"speedup_vs_baseline\": %.3f\n",
                headline4096_speedup);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sketch_accuracy\": {\n");
-  std::fprintf(out, "    \"epsilon\": %.6f,\n", StatsOptions{}.sketch_epsilon);
-  std::fprintf(out, "    \"delta\": %.6f,\n", StatsOptions{}.sketch_delta);
-  std::fprintf(out, "    \"width\": %u,\n", sketch_params.width);
-  std::fprintf(out, "    \"depth\": %u,\n", sketch_params.depth);
-  std::fprintf(out, "    \"note\": \"Figure-9 sweep fixtures; every pair "
-                    "forced through the count-min tier (budget 0); "
-                    "precision/recall of edges with MI >= 20%% of the "
-                    "strongest exact edge\",\n");
-  std::fprintf(out, "    \"sweeps\": [\n");
-  for (size_t i = 0; i < accuracy.size(); ++i) {
-    const SketchAccuracy& acc = accuracy[i];
-    std::fprintf(out,
-                 "      {\"dataset\": \"%s\", \"rows\": %zu, "
-                 "\"max_abs_mi_delta\": %.6f, \"mean_abs_mi_delta\": %.6f, "
-                 "\"precision\": %.4f, \"recall\": %.4f}%s\n",
-                 acc.dataset, acc.rows, acc.max_abs_mi_delta,
-                 acc.mean_abs_mi_delta, acc.precision, acc.recall,
-                 (i + 1 < accuracy.size()) ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"results\": [\n");
   for (size_t i = 0; i < samples.size(); ++i) {

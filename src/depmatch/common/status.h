@@ -40,7 +40,7 @@ std::string_view StatusCodeToString(StatusCode code);
 //
 // [[nodiscard]] at class level: any function returning Status produces a
 // value the caller must consume (check ok(), propagate, or explicitly
-// void-cast with a reason). tools/depmatch_lint.cc enforces the same
+// void-cast with a reason). tools/depmatch_analyze enforces the same
 // invariant textually so it also covers builds without warnings enabled.
 class [[nodiscard]] Status {
  public:

@@ -38,13 +38,8 @@
 namespace depmatch {
 
 struct SchemaMatchOptions {
-  // Step 1: dependency-graph construction (null policy, threading). This
-  // is also where a pipeline opts into the approximate tier: setting
-  // graph.stats.sketch_mode = SketchMode::kCountMin makes over-budget
-  // column pairs use count-min estimates with the
-  // (graph.stats.sketch_epsilon, graph.stats.sketch_delta) bounds —
-  // exact-vs-approximate is chosen per pipeline, never silently (see
-  // stats/joint_sketch.h).
+  // Step 1: dependency-graph construction (null policy, measure,
+  // threading). Every pair is counted exactly.
   DependencyGraphOptions graph;
   // Step 2: metric, cardinality, search algorithm, candidate filter.
   MatchOptions match;

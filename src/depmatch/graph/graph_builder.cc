@@ -8,7 +8,6 @@
 
 #include "depmatch/common/thread_pool.h"
 #include "depmatch/stats/joint_kernel.h"
-#include "depmatch/stats/joint_sketch.h"
 
 namespace depmatch {
 namespace {
@@ -39,71 +38,11 @@ std::vector<std::pair<size_t, size_t>> BlockedPairs(size_t n) {
   return pairs;
 }
 
-// DependencyEdgeValue's counterpart for a sketched pair. Marginals (and
-// thus hx/hy
-// and the level counts) stay exact; only the joint folds are estimates.
-double SketchEdgeValue(DependencyMeasure measure,
-                       const SketchedJoint& sketched,
-                       const ColumnMarginal& mx, const ColumnMarginal& my) {
-  if (sketched.total == 0) return 0.0;
-  double hx = sketched.has_marginals
-                  ? EntropyFromSlots(sketched.x_marginals, sketched.total)
-                  : mx.entropy;
-  double hy = sketched.has_marginals
-                  ? EntropyFromSlots(sketched.y_marginals, sketched.total)
-                  : my.entropy;
-  switch (measure) {
-    case DependencyMeasure::kMutualInformation: {
-      // The sketch under-estimates H(X,Y); clamp MI_hat into the exact
-      // quantity's feasible range [0, min(hx, hy)].
-      double mi = hx + hy - sketched.joint_entropy;
-      if (mi < 0.0) mi = 0.0;
-      return std::min(mi, std::min(hx, hy));
-    }
-    case DependencyMeasure::kNormalizedMutualInformation: {
-      double denom = std::max(hx, hy);
-      if (denom <= 0.0) return 0.0;
-      double mi = hx + hy - sketched.joint_entropy;
-      if (mi < 0.0) mi = 0.0;
-      mi = std::min(mi, std::min(hx, hy));
-      return std::min(mi / denom, 1.0);
-    }
-    case DependencyMeasure::kCramersV: {
-      size_t levels_x =
-          sketched.has_marginals ? SupportFromSlots(sketched.x_marginals)
-                                 : mx.support;
-      size_t levels_y =
-          sketched.has_marginals ? SupportFromSlots(sketched.y_marginals)
-                                 : my.support;
-      if (levels_x < 2 || levels_y < 2) return 0.0;
-      double denom = static_cast<double>(sketched.total) *
-                     static_cast<double>(std::min(levels_x, levels_y) - 1);
-      return std::min(std::sqrt(sketched.chi_square / denom), 1.0);
-    }
-  }
-  return 0.0;
-}
-
-// Edge memo tag: bits 0-1 the measure (the fold differs per measure),
-// bit 2 the sketch flag, and — for sketched edges only — bits 3..25 the
-// sketch width and 26..29 the depth, so a value estimated under one
-// (epsilon, delta) shape never aliases another shape or the exact value.
-// Exact edges keep the kernel knobs OUT of the tag: dense/sparse/dispatch
-// all emit bit-identical folds (stat_cache.h documents the contract).
-uint32_t EdgeFoldTag(DependencyMeasure measure, bool sketched,
-                     const SketchParams& params) {
-  uint32_t tag = static_cast<uint32_t>(measure);
-  if (sketched) {
-    tag |= 0x4u | (params.width << 3) | (params.depth << 26);
-  }
-  return tag;
-}
-
 }  // namespace
 
-// THE edge fold (see graph_builder.h): every builder — cold table, cold
-// view, incremental refresh — funnels through this one body, so equal
-// counts always produce bit-equal edge values.
+// THE edge fold (see graph_builder.h): the cold builder and the
+// incremental refresh both funnel through this one body, so equal counts
+// always produce bit-equal edge values.
 double DependencyEdgeValue(DependencyMeasure measure, const JointCounts& joint,
                            const ColumnMarginal& mx, const ColumnMarginal& my) {
   if (joint.total == 0) return 0.0;
@@ -149,60 +88,7 @@ double DependencyEdgeValue(DependencyMeasure measure, const JointCounts& joint,
 
 Result<DependencyGraph> BuildDependencyGraph(
     const Table& table, const DependencyGraphOptions& options) {
-  size_t n = table.num_attributes();
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    names.push_back(table.schema().attribute(i).name);
-  }
-  std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
-
-  size_t workers = std::max<size_t>(options.num_threads, 1);
-
-  // Marginal cache: each column's histogram, support, and entropy are
-  // computed exactly once and shared across all pairs, so per-pair work is
-  // joint counting plus the joint fold only.
-  std::vector<ColumnMarginal> marginals(n);
-  ThreadPool::ParallelForWithWorker(
-      workers, n, [&](size_t /*worker*/, size_t i) {
-        marginals[i] =
-            ComputeColumnMarginal(table.column(i), options.stats.null_policy);
-      });
-
-  // Node labels are always entropies (self-information MI(X;X) == H(X));
-  // the cached marginal entropy equals EntropyOf bit-for-bit.
-  for (size_t i = 0; i < n; ++i) {
-    matrix[i][i] = marginals[i].entropy;
-  }
-
-  // Strict upper-triangle work list, in cache-blocked tile order.
-  std::vector<std::pair<size_t, size_t>> pairs = BlockedPairs(n);
-
-  // One counting kernel per worker: scratch buffers are allocated
-  // O(threads) times and reused across pairs. Sketch kernels engage only
-  // for pairs UseSketch admits (opt-in + over-budget).
-  std::vector<JointCountKernel> kernels(workers);
-  std::vector<JointSketchKernel> sketchers(workers);
-  ThreadPool::ParallelForWithWorker(
-      workers, pairs.size(), [&](size_t worker, size_t k) {
-        auto [i, j] = pairs[k];
-        double value;
-        if (UseSketch(table.column(i), table.column(j), options.stats)) {
-          const SketchedJoint& sketched = sketchers[worker].Estimate(
-              table.column(i), table.column(j), options.stats);
-          value = SketchEdgeValue(options.measure, sketched, marginals[i],
-                                  marginals[j]);
-        } else {
-          const JointCounts& joint = kernels[worker].Count(
-              table.column(i), table.column(j), options.stats);
-          value = DependencyEdgeValue(options.measure, joint, marginals[i],
-                                      marginals[j]);
-        }
-        matrix[i][j] = value;
-        matrix[j][i] = value;
-      });
-
-  return DependencyGraph::Create(std::move(names), std::move(matrix));
+  return BuildDependencyGraph(EncodedTableView::FromTable(table), options);
 }
 
 Result<DependencyGraph> BuildDependencyGraph(
@@ -239,40 +125,25 @@ Result<DependencyGraph> BuildDependencyGraph(
 
   std::vector<std::pair<size_t, size_t>> pairs = BlockedPairs(n);
 
-  // The edge memo keys on the measure and — for sketched pairs — the
-  // sketch shape (see EdgeFoldTag), never on the exact-kernel knobs.
-  const SketchParams sketch_params = SketchParams::FromBounds(
-      options.stats.sketch_epsilon, options.stats.sketch_delta);
-  const uint32_t exact_tag =
-      EdgeFoldTag(options.measure, /*sketched=*/false, sketch_params);
-  const uint32_t sketch_tag =
-      EdgeFoldTag(options.measure, /*sketched=*/true, sketch_params);
+  // The edge memo tag is the measure (the fold differs per measure). The
+  // kernel knobs stay out of it: dense, sparse and every dispatch emit
+  // bit-identical folds (stat_cache.h documents the contract).
+  const uint32_t fold_tag = static_cast<uint32_t>(options.measure);
   const NullPolicy policy = options.stats.null_policy;
 
+  // One counting kernel per worker: scratch buffers are allocated
+  // O(threads) times and reused across pairs.
   std::vector<JointCountKernel> kernels(workers);
-  std::vector<JointSketchKernel> sketchers(workers);
   ThreadPool::ParallelForWithWorker(
       workers, pairs.size(), [&](size_t worker, size_t k) {
         auto [i, j] = pairs[k];
-        const CodeView& xi = stats[i]->code_view();
-        const CodeView& xj = stats[j]->code_view();
-        const bool sketched = UseSketch(xi, xj, options.stats);
-        const uint32_t fold_tag = sketched ? sketch_tag : exact_tag;
         double value;
         if (cache == nullptr ||
             !cache->GetEdge(view, i, j, policy, fold_tag, &value)) {
-          if (sketched) {
-            const SketchedJoint& estimate = sketchers[worker].Estimate(
-                xi, xj, stats[i]->marginal.slots, stats[j]->marginal.slots,
-                options.stats);
-            value = SketchEdgeValue(options.measure, estimate,
-                                    stats[i]->marginal, stats[j]->marginal);
-          } else {
-            const JointCounts& joint =
-                kernels[worker].Count(xi, xj, options.stats);
-            value = DependencyEdgeValue(options.measure, joint,
-                                        stats[i]->marginal, stats[j]->marginal);
-          }
+          const JointCounts& joint = kernels[worker].Count(
+              stats[i]->code_view(), stats[j]->code_view(), options.stats);
+          value = DependencyEdgeValue(options.measure, joint,
+                                      stats[i]->marginal, stats[j]->marginal);
           if (cache != nullptr) {
             cache->PutEdge(view, i, j, policy, fold_tag, value);
           }

@@ -54,15 +54,17 @@ struct DependencyGraphOptions {
 // One pairwise edge value from a counting result plus the two column
 // marginals (the per-pair retained marginals take over when the counting
 // pass filled them; see JointCounts::has_marginals). This is THE edge
-// fold: both cold build overloads below and graph/incremental_builder.h
-// call it, which is what makes an incremental refresh bit-identical to a
-// cold rebuild — identical counts fed through identical folds.
+// fold: the cold build below and graph/incremental_builder.h call it,
+// which is what makes an incremental refresh bit-identical to a cold
+// rebuild — identical counts fed through identical folds.
 double DependencyEdgeValue(DependencyMeasure measure, const JointCounts& joint,
                            const ColumnMarginal& mx, const ColumnMarginal& my);
 
 // Builds the dependency graph of `table`: m[i][j] = MI(a_i; a_j), with the
 // diagonal m[i][i] = H(a_i) (self-information). Deterministic for a given
-// table and options.
+// table and options. Encodes the table once (EncodedTableView::FromTable)
+// and builds over that view, with no StatCache: a fresh snapshot id can
+// never hit one.
 Result<DependencyGraph> BuildDependencyGraph(
     const Table& table, const DependencyGraphOptions& options = {});
 

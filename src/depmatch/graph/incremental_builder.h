@@ -26,10 +26,6 @@
 // Sparsification is a pure function of the full matrix, re-applied per
 // Refresh, so it commutes with the identity above.
 //
-// The sketched-MI tier is rejected at Create: sketch estimates are not
-// mergeable counts, so an incremental builder over them could not honor
-// the contract (use the cold builder for sketched pipelines).
-//
 // Thread safety: none — single-writer, like the count state it owns.
 // Refresh() internally fans dirty-entry refolds across
 // options.graph.num_threads workers; each entry is written by exactly
@@ -78,8 +74,7 @@ class IncrementalGraphBuilder {
   IncrementalGraphBuilder() = default;
 
   // Cold build over `table`: one full counting pass, retained as count
-  // state, plus the initial Refresh. Fails with InvalidArgument when
-  // options.graph.stats.sketch_mode is not kOff.
+  // state, plus the initial Refresh.
   static Result<IncrementalGraphBuilder> Create(
       const Table& table, const IncrementalBuildOptions& options = {});
 

@@ -3,7 +3,7 @@
 // sum in this file accumulates in a fixed, thread-independent order.
 // Do not introduce constructs that reorder double accumulation
 // (std::reduce, atomic floating adds, OpenMP reductions); the
-// depmatch_lint bit-identical rule and the tsan_stress tests enforce
+// depmatch_analyze bit-identical rule and the tsan_stress tests enforce
 // and exercise this contract.
 #include "depmatch/match/graduated_assignment.h"
 

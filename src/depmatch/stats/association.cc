@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "depmatch/stats/joint_kernel.h"
-#include "depmatch/stats/joint_sketch.h"
+#include "depmatch/table/encoded_column.h"
 
 namespace depmatch {
 namespace {
@@ -18,15 +18,15 @@ struct PairMarginals {
   size_t support_y = 0;
 };
 
-PairMarginals MarginalsFor(const JointCounts& joint, const Column& x,
-                           const Column& y, NullPolicy policy) {
+PairMarginals MarginalsFor(const JointCounts& joint, const EncodedColumn& x,
+                           const EncodedColumn& y, NullPolicy policy) {
   PairMarginals m;
   if (joint.has_marginals) {
     m.x_slots = joint.x_marginals;
     m.y_slots = joint.y_marginals;
   } else {
-    m.x_slots = ComputeColumnMarginal(x, policy).slots;
-    m.y_slots = ComputeColumnMarginal(y, policy).slots;
+    m.x_slots = ComputeColumnMarginal(CodeViewOf(x), policy).slots;
+    m.y_slots = ComputeColumnMarginal(CodeViewOf(y), policy).slots;
   }
   m.support_x = SupportFromSlots(m.x_slots);
   m.support_y = SupportFromSlots(m.y_slots);
@@ -44,43 +44,27 @@ double ChiSquareStatistic(const Column& x, const Column& y,
   //         = sum_observed (o^2/e - 2o + e) + N - sum_observed e
   //         = sum_observed o^2/e - 2N + N = sum_observed o^2/e - N.
   // The fold itself lives in ChiSquareFromCounts (joint_kernel.h).
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    return kernel.Estimate(x, y, options).chi_square;
-  }
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  const JointCounts& joint = kernel.Count(x, y, options);
+  const JointCounts& joint =
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
   if (joint.total == 0) return 0.0;
-  PairMarginals m = MarginalsFor(joint, x, y, options.null_policy);
+  PairMarginals m = MarginalsFor(joint, ex, ey, options.null_policy);
   return ChiSquareFromCounts(joint, m.x_slots, m.y_slots);
 }
 
 double CramersV(const Column& x, const Column& y,
                 const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    NullPolicy policy = options.null_policy;
-    size_t support_x =
-        sketched.has_marginals
-            ? SupportFromSlots(sketched.x_marginals)
-            : ComputeColumnMarginal(x, policy).support;
-    size_t support_y =
-        sketched.has_marginals
-            ? SupportFromSlots(sketched.y_marginals)
-            : ComputeColumnMarginal(y, policy).support;
-    if (support_x < 2 || support_y < 2) return 0.0;
-    double denom = static_cast<double>(sketched.total) *
-                   static_cast<double>(std::min(support_x, support_y) - 1);
-    return std::min(std::sqrt(sketched.chi_square / denom), 1.0);
-  }
   // One counting pass serves both the chi-square fold and the level
   // counts.
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  const JointCounts& joint = kernel.Count(x, y, options);
+  const JointCounts& joint =
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
   if (joint.total == 0) return 0.0;
-  PairMarginals m = MarginalsFor(joint, x, y, options.null_policy);
+  PairMarginals m = MarginalsFor(joint, ex, ey, options.null_policy);
   if (m.support_x < 2 || m.support_y < 2) return 0.0;
   double chi2 = ChiSquareFromCounts(joint, m.x_slots, m.y_slots);
   double denom = static_cast<double>(joint.total) *

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "depmatch/common/thread_pool.h"
+#include "depmatch/table/encoded_column.h"
 
 namespace depmatch {
 namespace {
@@ -444,11 +445,6 @@ void TableCountState::ReshapePairs() {
 
 Result<TableCountState> TableCountState::FromTable(
     const Table& table, const CountStateOptions& options) {
-  if (options.stats.sketch_mode != SketchMode::kOff) {
-    return InvalidArgumentError(
-        "TableCountState requires exact counts; sketched estimates are not "
-        "mergeable (set stats.sketch_mode = kOff)");
-  }
   TableCountState state;
   state.schema_ = table.schema();
   state.options_ = options;
@@ -463,20 +459,12 @@ Result<TableCountState> TableCountState::FromTable(
   state.dirty_.MarkAll();
   state.ReshapePairs();
 
-  // One counting pass: the whole table is the first "batch". Slot
-  // streams are materialized once (slot = code + 1) and shared by every
-  // pair's kernel call.
-  std::vector<std::vector<uint32_t>> slots(n);
-  std::vector<CodeView> views(n);
+  // One counting pass: the whole table is the first "batch". Each column
+  // is slot-encoded once and shared by every pair's kernel call.
+  std::vector<EncodedColumn> encoded;
+  encoded.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<int32_t>& codes = table.column(i).codes();
-    slots[i].resize(codes.size());
-    for (size_t r = 0; r < codes.size(); ++r) {
-      slots[i][r] = static_cast<uint32_t>(codes[r] + 1);
-    }
-    views[i] = CodeView{slots[i].data(), slots[i].size(),
-                        state.columns_[i].num_slots(),
-                        table.column(i).null_count()};
+    encoded.push_back(EncodedColumn::FromColumn(table.column(i)));
   }
   std::vector<std::pair<size_t, size_t>> pair_list;
   pair_list.reserve(state.pairs_.size());
@@ -489,7 +477,8 @@ Result<TableCountState> TableCountState::FromTable(
       options.num_threads, pair_list.size(), [&](size_t worker, size_t p) {
         auto [i, j] = pair_list[p];
         const JointCounts& counts =
-            kernels[worker].Count(views[i], views[j], state.options_.stats);
+            kernels[worker].Count(CodeViewOf(encoded[i]),
+                                  CodeViewOf(encoded[j]), state.options_.stats);
         state.pairs_[p].Apply(counts, state.columns_[i].slot_counts(),
                               state.columns_[j].slot_counts());
       });
@@ -498,7 +487,7 @@ Result<TableCountState> TableCountState::FromTable(
   uint64_t digest = MixU64(kDigestSeed, kTagAppend);
   digest = MixU64(digest, state.rows_);
   for (size_t i = 0; i < n; ++i) {
-    for (uint32_t slot : slots[i]) digest = MixU64(digest, slot);
+    for (uint32_t slot : encoded[i].slots()) digest = MixU64(digest, slot);
   }
   state.digest_ = digest;
   return state;

@@ -75,9 +75,7 @@
 namespace depmatch {
 
 struct CountStateOptions {
-  // Null policy and kernel knobs for the per-batch counting passes. The
-  // sketch tier is rejected (sketched estimates are not mergeable
-  // counts); see TableCountState::FromTable.
+  // Null policy and kernel knobs for the per-batch counting passes.
   StatsOptions stats;
   // Worker threads for the O(n^2) per-pair passes; results are
   // identical at any value.
@@ -308,8 +306,6 @@ class TableCountState {
 
   // Cold build: one counting pass over `table` (columns serial, pairs
   // fanned across options.num_threads). Everything starts dirty.
-  // Fails with InvalidArgument when options.stats.sketch_mode is not
-  // kOff: sketched estimates are not mergeable counts.
   static Result<TableCountState> FromTable(const Table& table,
                                            const CountStateOptions& options);
 

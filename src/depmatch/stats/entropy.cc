@@ -5,7 +5,7 @@
 #include <cstdint>
 
 #include "depmatch/stats/joint_kernel.h"
-#include "depmatch/stats/joint_sketch.h"
+#include "depmatch/table/encoded_column.h"
 
 namespace depmatch {
 namespace {
@@ -14,26 +14,15 @@ namespace {
 // marginals when the retained-row set is pair-dependent, otherwise from
 // the pair-invariant column marginals.
 std::pair<double, double> MarginalEntropies(const JointCounts& joint,
-                                            const Column& x, const Column& y,
+                                            const EncodedColumn& x,
+                                            const EncodedColumn& y,
                                             NullPolicy policy) {
   if (joint.has_marginals) {
     return {EntropyFromSlots(joint.x_marginals, joint.total),
             EntropyFromSlots(joint.y_marginals, joint.total)};
   }
-  return {ComputeColumnMarginal(x, policy).entropy,
-          ComputeColumnMarginal(y, policy).entropy};
-}
-
-// Same, for a sketched pair (marginals stay exact either way).
-std::pair<double, double> MarginalEntropies(const SketchedJoint& sketched,
-                                            const Column& x, const Column& y,
-                                            NullPolicy policy) {
-  if (sketched.has_marginals) {
-    return {EntropyFromSlots(sketched.x_marginals, sketched.total),
-            EntropyFromSlots(sketched.y_marginals, sketched.total)};
-  }
-  return {ComputeColumnMarginal(x, policy).entropy,
-          ComputeColumnMarginal(y, policy).entropy};
+  return {ComputeColumnMarginal(CodeViewOf(x), policy).entropy,
+          ComputeColumnMarginal(CodeViewOf(y), policy).entropy};
 }
 
 }  // namespace
@@ -54,81 +43,57 @@ double EntropyFromCounts(const std::vector<uint64_t>& counts) {
 }
 
 double EntropyOf(const Column& x, const StatsOptions& options) {
-  return ComputeColumnMarginal(x, options.null_policy).entropy;
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  return ComputeColumnMarginal(CodeViewOf(ex), options.null_policy).entropy;
 }
 
 double JointEntropy(const Column& x, const Column& y,
                     const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    return kernel.Estimate(x, y, options).joint_entropy;
-  }
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  return JointEntropyFromCells(kernel.Count(x, y, options));
+  return JointEntropyFromCells(
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options));
 }
 
 double MutualInformation(const Column& x, const Column& y,
                          const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    auto [hx, hy] = MarginalEntropies(sketched, x, y, options.null_policy);
-    // The sketch under-estimates H(X,Y), so clamp MI_hat into the exact
-    // quantity's feasible range [0, min(H(X), H(Y))].
-    double mi = hx + hy - sketched.joint_entropy;
-    if (mi < 0.0) mi = 0.0;
-    return std::min(mi, std::min(hx, hy));
-  }
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  const JointCounts& joint = kernel.Count(x, y, options);
+  const JointCounts& joint =
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
   if (joint.total == 0) return 0.0;
-  auto [hx, hy] = MarginalEntropies(joint, x, y, options.null_policy);
+  auto [hx, hy] = MarginalEntropies(joint, ex, ey, options.null_policy);
   double mi = hx + hy - JointEntropyFromCells(joint);
   return mi < 0.0 ? 0.0 : mi;
 }
 
 double ConditionalEntropy(const Column& x, const Column& y,
                           const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    double hy =
-        sketched.has_marginals
-            ? EntropyFromSlots(sketched.y_marginals, sketched.total)
-            : ComputeColumnMarginal(y, options.null_policy).entropy;
-    double cond = sketched.joint_entropy - hy;
-    return cond < 0.0 ? 0.0 : cond;
-  }
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  const JointCounts& joint = kernel.Count(x, y, options);
+  const JointCounts& joint =
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
   if (joint.total == 0) return 0.0;
-  double hy = joint.has_marginals
-                  ? EntropyFromSlots(joint.y_marginals, joint.total)
-                  : ComputeColumnMarginal(y, options.null_policy).entropy;
+  double hy =
+      joint.has_marginals
+          ? EntropyFromSlots(joint.y_marginals, joint.total)
+          : ComputeColumnMarginal(CodeViewOf(ey), options.null_policy).entropy;
   double cond = JointEntropyFromCells(joint) - hy;
   return cond < 0.0 ? 0.0 : cond;
 }
 
 double NormalizedMutualInformation(const Column& x, const Column& y,
                                    const StatsOptions& options) {
-  if (UseSketch(x, y, options)) {
-    JointSketchKernel kernel;
-    const SketchedJoint& sketched = kernel.Estimate(x, y, options);
-    if (sketched.total == 0) return 0.0;
-    auto [hx, hy] = MarginalEntropies(sketched, x, y, options.null_policy);
-    double denom = std::max(hx, hy);
-    if (denom <= 0.0) return 0.0;
-    double mi = hx + hy - sketched.joint_entropy;
-    if (mi < 0.0) mi = 0.0;
-    mi = std::min(mi, std::min(hx, hy));
-    return std::min(mi / denom, 1.0);
-  }
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   JointCountKernel kernel;
-  const JointCounts& joint = kernel.Count(x, y, options);
+  const JointCounts& joint =
+      kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
   if (joint.total == 0) return 0.0;
-  auto [hx, hy] = MarginalEntropies(joint, x, y, options.null_policy);
+  auto [hx, hy] = MarginalEntropies(joint, ex, ey, options.null_policy);
   double denom = std::max(hx, hy);
   if (denom <= 0.0) return 0.0;
   double mi = hx + hy - JointEntropyFromCells(joint);

@@ -38,13 +38,9 @@ namespace depmatch {
 // paying for a matrix they barely populate. A dense_cell_budget of 0
 // always forces the sparse path and is never overridden by the auto rule.
 //
-// Pairs that fail the crossover take the sparse fallback — unless
-// StatsOptions::sketch_mode opts into the approximate count-min tier, in
-// which case exactly those over-budget pairs are estimated with sketches
-// instead (see SketchMode below and stats/joint_sketch.h). Kernel choice
-// below the sketch tier is a pure performance knob (dense and sparse are
-// bit-identical); the sketch tier is not, which is why it is opt-in and
-// keyed separately in caches.
+// Pairs that fail the crossover take the exact sparse fallback. Kernel
+// choice is a pure performance knob: dense and sparse counts are
+// bit-identical, so no cache keys on it.
 // ---------------------------------------------------------------------------
 
 // Default static ceiling: 2^20 cells = 8 MiB of uint64 counts per worker.
@@ -83,21 +79,9 @@ enum class JointKernelDispatch {
   kScalar,
 };
 
-// The approximate tier for pairs whose dense matrix blows the effective
-// cell budget (see the crossover comment above). Strictly opt-in: the
-// default kOff keeps every pair exact, and the lint's sketch-gate rule
-// forbids library code from reaching the sketch kernel except through
-// this option.
-enum class SketchMode : uint8_t {
-  kOff,       // over-budget pairs use the exact sparse fallback (default)
-  kCountMin,  // over-budget pairs are estimated with count-min sketches
-              // sized from (sketch_epsilon, sketch_delta); see
-              // stats/joint_sketch.h for the guarantee
-};
-
 // Options shared by every pairwise statistic (entropy.h, association.h,
-// joint_kernel.h, joint_sketch.h). Lives here, next to NullPolicy, so the
-// counting layer and the estimator layer agree on one knob set.
+// joint_kernel.h). Lives here, next to NullPolicy, so the counting layer
+// and the estimator layer agree on one knob set.
 struct StatsOptions {
   NullPolicy null_policy = NullPolicy::kNullAsSymbol;
   // Static part of the dense/sparse crossover budget; see the
@@ -109,16 +93,6 @@ struct StatsOptions {
   // Counting-loop implementation for the exact kernels; bit-identical
   // either way (pure performance knob).
   JointKernelDispatch dispatch = JointKernelDispatch::kAuto;
-  // Opt-in approximate tier for over-budget pairs. With kCountMin, a pair
-  // that fails the dense crossover is estimated by a count-min sketch
-  // whose width/depth derive from (sketch_epsilon, sketch_delta): each
-  // point count is overestimated by at most sketch_epsilon * N with
-  // probability >= 1 - sketch_delta. Results are still deterministic and
-  // thread-invariant, but NOT equal to the exact path — callers opt in
-  // per pipeline, and caches key sketched values separately.
-  SketchMode sketch_mode = SketchMode::kOff;
-  double sketch_epsilon = 0.005;
-  double sketch_delta = 0.01;
 };
 
 // Marginal frequency histogram of one column.

@@ -3,7 +3,7 @@
 // sum in this file accumulates in a fixed, thread-independent order.
 // Do not introduce constructs that reorder double accumulation
 // (std::reduce, atomic floating adds, OpenMP reductions); the
-// depmatch_lint bit-identical rule and the tsan_stress tests enforce
+// depmatch_analyze bit-identical rule and the tsan_stress tests enforce
 // and exercise this contract.
 #include "depmatch/stats/joint_kernel.h"
 
@@ -14,21 +14,6 @@
 
 namespace depmatch {
 namespace {
-
-// Per-row slot sources the counting templates are instantiated over. Both
-// yield slot = code + 1 with slot 0 = null, so the loop bodies — and thus
-// the accumulation order — are identical for Column and CodeView inputs.
-struct ColumnSlots {
-  const int32_t* codes;
-  uint32_t operator()(size_t r) const {
-    return static_cast<uint32_t>(codes[r] + 1);
-  }
-};
-
-struct SpanSlots {
-  const uint32_t* slots;
-  uint32_t operator()(size_t r) const { return slots[r]; }
-};
 
 // Strategy thresholds for JointKernelDispatch::kAuto.
 //
@@ -48,8 +33,8 @@ inline constexpr size_t kSortStrategyMinCells = size_t{1} << 17;
 
 // The cell budget the dense/sparse crossover compares against; the
 // authoritative statement of the rule (static budget, auto-raise shape
-// allowance, budget-0 semantics, sketch interaction) is the crossover
-// comment block in histogram.h.
+// allowance, budget-0 semantics) is the crossover comment block in
+// histogram.h.
 size_t EffectiveDenseBudget(size_t rows, const StatsOptions& options) {
   size_t budget = options.dense_cell_budget;
   if (budget == 0 || !options.auto_dense_budget) return budget;
@@ -69,20 +54,9 @@ bool UseDenseForShape(size_t dx1, size_t dy1, size_t rows,
 
 }  // namespace
 
-ColumnMarginal ComputeColumnMarginal(const Column& column,
-                                     NullPolicy policy) {
-  ColumnMarginal m;
-  m.slots.assign(column.distinct_count() + 1, 0);
-  for (int32_t code : column.codes()) {
-    if (code == Column::kNullCode && policy == NullPolicy::kDropNulls) {
-      continue;
-    }
-    ++m.slots[static_cast<size_t>(code + 1)];
-    ++m.total;
-  }
-  m.support = SupportFromSlots(m.slots);
-  m.entropy = EntropyFromSlots(m.slots, m.total);
-  return m;
+CodeView CodeViewOf(const EncodedColumn& column) {
+  return CodeView{column.slots().data(), column.size(), column.num_slots(),
+                  column.null_count()};
 }
 
 ColumnMarginal ComputeColumnMarginal(const CodeView& codes,
@@ -101,46 +75,9 @@ ColumnMarginal ComputeColumnMarginal(const CodeView& codes,
   return m;
 }
 
-bool JointCountKernel::UseDense(const Column& x, const Column& y,
-                                const StatsOptions& options) {
-  return UseDenseForShape(x.distinct_count() + 1, y.distinct_count() + 1,
-                          x.size(), options);
-}
-
 bool JointCountKernel::UseDense(const CodeView& x, const CodeView& y,
                                 const StatsOptions& options) {
   return UseDenseForShape(x.num_slots, y.num_slots, x.size, options);
-}
-
-const JointCounts& JointCountKernel::Count(const Column& x, const Column& y,
-                                           const StatsOptions& options) {
-  DEPMATCH_CHECK_EQ(x.size(), y.size());
-  counts_.total = 0;
-  counts_.cell_x_slots.clear();
-  counts_.cell_y_slots.clear();
-  counts_.cell_counts.clear();
-  counts_.has_marginals = false;
-  counts_.x_marginals.clear();
-  counts_.y_marginals.clear();
-
-  counts_.used_dense = UseDense(x, y, options);
-  ColumnSlots xs{x.codes().data()};
-  ColumnSlots ys{y.codes().data()};
-  if (counts_.used_dense) {
-    CountDense(xs, ys, x.size(), x.distinct_count() + 1,
-               y.distinct_count() + 1, options);
-  } else {
-    CountSparse(xs, ys, x.size(), options);
-  }
-
-  // The retained-row set depends on the pair only under kDropNulls with
-  // nulls actually present; only then are per-pair marginals meaningful
-  // (otherwise each column's pair-invariant ColumnMarginal applies).
-  if (options.null_policy == NullPolicy::kDropNulls &&
-      (x.null_count() > 0 || y.null_count() > 0)) {
-    FillMarginals(x.distinct_count() + 1, y.distinct_count() + 1);
-  }
-  return counts_;
 }
 
 const JointCounts& JointCountKernel::Count(const CodeView& x,
@@ -156,14 +93,15 @@ const JointCounts& JointCountKernel::Count(const CodeView& x,
   counts_.y_marginals.clear();
 
   counts_.used_dense = UseDense(x, y, options);
-  SpanSlots xs{x.slots};
-  SpanSlots ys{y.slots};
   if (counts_.used_dense) {
-    CountDense(xs, ys, x.size, x.num_slots, y.num_slots, options);
+    CountDense(x.slots, y.slots, x.size, x.num_slots, y.num_slots, options);
   } else {
-    CountSparse(xs, ys, x.size, options);
+    CountSparse(x.slots, y.slots, x.size, options);
   }
 
+  // The retained-row set depends on the pair only under kDropNulls with
+  // nulls actually present; only then are per-pair marginals meaningful
+  // (otherwise each column's pair-invariant ColumnMarginal applies).
   if (options.null_policy == NullPolicy::kDropNulls &&
       (x.null_count > 0 || y.null_count > 0)) {
     FillMarginals(x.num_slots, y.num_slots);
@@ -171,8 +109,7 @@ const JointCounts& JointCountKernel::Count(const CodeView& x,
   return counts_;
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountDense(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountDense(const uint32_t* xs, const uint32_t* ys,
                                   size_t rows, size_t dx1, size_t dy1,
                                   const StatsOptions& options) {
   const size_t cells = dx1 * dy1;
@@ -187,28 +124,27 @@ void JointCountKernel::CountDense(SlotOfX x_slot, SlotOfY y_slot,
     // compaction scan. Lane-splitting needs per-cell counts to fit the
     // uint32 lane counters, which rows bounds.
     if (!scalar && rows < UINT32_MAX) {
-      CountDenseLanes(x_slot, y_slot, rows, dy1, cells, drop);
+      CountDenseLanes(xs, ys, rows, dy1, cells, drop);
     } else {
-      CountDenseScan(x_slot, y_slot, rows, dy1, cells, drop);
+      CountDenseScan(xs, ys, rows, dy1, cells, drop);
     }
     return;
   }
   if (!scalar && cells >= kSortStrategyMinCells) {
-    CountDenseSorted(x_slot, y_slot, rows, dy1, drop);
+    CountDenseSorted(xs, ys, rows, dy1, drop);
     return;
   }
   if (dense_.size() < cells) dense_.resize(cells, 0);
-  CountDenseTouched(x_slot, y_slot, rows, dy1, drop);
+  CountDenseTouched(xs, ys, rows, dy1, drop);
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountDenseScan(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountDenseScan(const uint32_t* xs, const uint32_t* ys,
                                       size_t rows, size_t dy1, size_t cells,
                                       bool drop) {
   if (dense_.size() < cells) dense_.resize(cells, 0);
   for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     ++dense_[static_cast<size_t>(sx) * dy1 + sy];
     ++counts_.total;
@@ -224,8 +160,7 @@ void JointCountKernel::CountDenseScan(SlotOfX x_slot, SlotOfY y_slot,
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountDenseLanes(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountDenseLanes(const uint32_t* xs, const uint32_t* ys,
                                        size_t rows, size_t dy1, size_t cells,
                                        bool drop) {
   constexpr size_t kLanes = kDenseLaneCount;
@@ -240,16 +175,16 @@ void JointCountKernel::CountDenseLanes(SlotOfX x_slot, SlotOfY y_slot,
   size_t r = 0;
   for (; r + kLanes <= rows; r += kLanes) {
     for (size_t l = 0; l < kLanes; ++l) {
-      uint32_t sx = x_slot(r + l);
-      uint32_t sy = y_slot(r + l);
+      uint32_t sx = xs[r + l];
+      uint32_t sy = ys[r + l];
       if (drop && (sx == 0 || sy == 0)) continue;
       ++lane[l][static_cast<size_t>(sx) * dy1 + sy];
       ++retained[l];
     }
   }
   for (; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     ++lane[0][static_cast<size_t>(sx) * dy1 + sy];
     ++retained[0];
@@ -274,14 +209,13 @@ void JointCountKernel::CountDenseLanes(SlotOfX x_slot, SlotOfY y_slot,
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountDenseTouched(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountDenseTouched(const uint32_t* xs, const uint32_t* ys,
                                          size_t rows, size_t dy1,
                                          bool drop) {
   touched_.clear();
   for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     size_t slot = static_cast<size_t>(sx) * dy1 + sy;
     if (dense_[slot]++ == 0) touched_.push_back(slot);
@@ -303,8 +237,7 @@ void JointCountKernel::CountDenseTouched(SlotOfX x_slot, SlotOfY y_slot,
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountDenseSorted(const uint32_t* xs, const uint32_t* ys,
                                         size_t rows, size_t dy1,
                                         bool drop) {
   // Pack each retained row into its flat cell index. Ascending flat
@@ -315,8 +248,8 @@ void JointCountKernel::CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot,
   keys_.clear();
   keys_.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     keys_.push_back(static_cast<uint64_t>(sx) * dy1 + sy);
   }
@@ -337,24 +270,22 @@ void JointCountKernel::CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot,
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountSparse(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountSparse(const uint32_t* xs, const uint32_t* ys,
                                    size_t rows, const StatsOptions& options) {
   const bool drop = (options.null_policy == NullPolicy::kDropNulls);
   if (options.dispatch == JointKernelDispatch::kScalar) {
-    CountSparseHash(x_slot, y_slot, rows, drop);
+    CountSparseHash(xs, ys, rows, drop);
   } else {
-    CountSparsePacked(x_slot, y_slot, rows, drop);
+    CountSparsePacked(xs, ys, rows, drop);
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountSparseHash(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountSparseHash(const uint32_t* xs, const uint32_t* ys,
                                        size_t rows, bool drop) {
   sparse_.clear();
   for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     // Same packing as JointHistogram::PackCodes(code_x, code_y): slot in
     // the high word, slot in the low word.
@@ -382,8 +313,7 @@ void JointCountKernel::CountSparseHash(SlotOfX x_slot, SlotOfY y_slot,
   }
 }
 
-template <typename SlotOfX, typename SlotOfY>
-void JointCountKernel::CountSparsePacked(SlotOfX x_slot, SlotOfY y_slot,
+void JointCountKernel::CountSparsePacked(const uint32_t* xs, const uint32_t* ys,
                                          size_t rows, bool drop) {
   // The hash map's packed (x_slot << 32 | y_slot) keys already sort in
   // the canonical cell order, so the sort-based strategy applies to the
@@ -392,8 +322,8 @@ void JointCountKernel::CountSparsePacked(SlotOfX x_slot, SlotOfY y_slot,
   keys_.clear();
   keys_.reserve(rows);
   for (size_t r = 0; r < rows; ++r) {
-    uint32_t sx = x_slot(r);
-    uint32_t sy = y_slot(r);
+    uint32_t sx = xs[r];
+    uint32_t sy = ys[r];
     if (drop && (sx == 0 || sy == 0)) continue;
     keys_.push_back((static_cast<uint64_t>(sx) << 32) | sy);
   }

@@ -4,9 +4,9 @@
 // Pairwise joint-count kernels: the hot path of Table2DepGraph.
 //
 // Every pairwise statistic (MI, NMI, chi-square / Cramér's V) is a fold
-// over the joint count table of two dictionary-encoded columns. This module
-// provides two interchangeable counting kernels plus the deterministic
-// folds:
+// over the joint count table of two slot-encoded columns
+// (table/encoded_column.h). This module provides two interchangeable
+// counting kernels plus the deterministic folds:
 //
 //   * Dense: chosen when the (distinct_x + 1) x (distinct_y + 1) matrix
 //     fits the effective cell budget (the authoritative crossover rule
@@ -39,9 +39,6 @@
 // A JointCountKernel instance owns reusable scratch and is meant to live
 // per worker thread (the graph builder allocates O(threads) kernels, not
 // O(pairs) hash maps).
-//
-// The opt-in approximate tier for over-budget pairs (StatsOptions::
-// sketch_mode) lives in joint_sketch.h; this file is exact-only.
 
 #ifndef DEPMATCH_STATS_JOINT_KERNEL_H_
 #define DEPMATCH_STATS_JOINT_KERNEL_H_
@@ -53,7 +50,7 @@
 #include <vector>
 
 #include "depmatch/stats/histogram.h"
-#include "depmatch/table/column.h"
+#include "depmatch/table/encoded_column.h"
 
 namespace depmatch {
 
@@ -71,13 +68,10 @@ struct ColumnMarginal {
   double entropy = 0.0;
 };
 
-ColumnMarginal ComputeColumnMarginal(const Column& column, NullPolicy policy);
-
 // A borrowed slot-encoded column: slots[r] = dictionary code + 1, slot 0 =
 // null — the storage form of table/encoded_column.h (EncodedColumn slot
-// arrays and SelectionCodes), consumed by the kernels directly so cached
-// encodings never round-trip through a Column. The storage is owned
-// elsewhere and must outlive the kernel call.
+// arrays and SelectionCodes), consumed by the kernels directly. The
+// storage is owned elsewhere and must outlive the kernel call.
 struct CodeView {
   const uint32_t* slots = nullptr;
   size_t size = 0;
@@ -86,8 +80,10 @@ struct CodeView {
   uint64_t null_count = 0;
 };
 
-// Slot-order marginal over a borrowed encoding; bit-identical to the
-// Column overload on the equivalent column.
+// Borrows the slot array of `column`, which must outlive the view.
+CodeView CodeViewOf(const EncodedColumn& column);
+
+// Marginal of a borrowed encoding, folded in slot order.
 ColumnMarginal ComputeColumnMarginal(const CodeView& codes, NullPolicy policy);
 
 // Result of one pairwise counting pass. Cells are the non-zero entries of
@@ -121,31 +117,21 @@ class JointCountKernel {
   // cell budget: dense_cell_budget, raised (when auto_dense_budget is on)
   // to min(rows * kDenseAutoCellsPerRow, kDenseAutoMaxCells). Budget 0
   // always forces the sparse path.
-  static bool UseDense(const Column& x, const Column& y,
-                       const StatsOptions& options);
   static bool UseDense(const CodeView& x, const CodeView& y,
                        const StatsOptions& options);
 
   // Counts pair frequencies of (x, y) under options.null_policy.
-  // Precondition: x.size() == y.size().
-  const JointCounts& Count(const Column& x, const Column& y,
-                           const StatsOptions& options);
-  // Same over borrowed slot encodings; bit-identical to the Column
-  // overload on equivalent data. Precondition: x.size == y.size.
+  // Precondition: x.size == y.size.
   const JointCounts& Count(const CodeView& x, const CodeView& y,
                            const StatsOptions& options);
 
  private:
-  // Counting loops are generic over the per-row slot source (a callable
-  // r -> slot) so the Column and CodeView entry points share one body and
-  // therefore one accumulation order. CountDense/CountSparse pick a
-  // strategy (below) from the matrix shape and options.dispatch; every
-  // strategy emits the same canonical cells.
-  template <typename SlotOfX, typename SlotOfY>
-  void CountDense(SlotOfX x_slot, SlotOfY y_slot, size_t rows, size_t dx1,
-                  size_t dy1, const StatsOptions& options);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountSparse(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  // CountDense/CountSparse pick a strategy (below) from the matrix shape
+  // and options.dispatch; every strategy reads the slot arrays xs/ys row
+  // by row and emits the same canonical cells.
+  void CountDense(const uint32_t* xs, const uint32_t* ys, size_t rows,
+                  size_t dx1, size_t dy1, const StatsOptions& options);
+  void CountSparse(const uint32_t* xs, const uint32_t* ys, size_t rows,
                    const StatsOptions& options);
 
   // Dense strategies. Scan = branch-free increments + whole-matrix
@@ -153,26 +139,20 @@ class JointCountKernel {
   // loop split over independent sub-histograms merged once; Touched =
   // scatter with touched-cell tracking; Sorted = pack/radix-sort/RLE with
   // no matrix at all.
-  template <typename SlotOfX, typename SlotOfY>
-  void CountDenseScan(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountDenseScan(const uint32_t* xs, const uint32_t* ys, size_t rows,
                       size_t dy1, size_t cells, bool drop);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountDenseLanes(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountDenseLanes(const uint32_t* xs, const uint32_t* ys, size_t rows,
                        size_t dy1, size_t cells, bool drop);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountDenseTouched(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountDenseTouched(const uint32_t* xs, const uint32_t* ys, size_t rows,
                          size_t dy1, bool drop);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountDenseSorted(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountDenseSorted(const uint32_t* xs, const uint32_t* ys, size_t rows,
                         size_t dy1, bool drop);
 
   // Sparse strategies: the classic hash map (kScalar) and the radix sort
   // over 64-bit packed (x_slot << 32 | y_slot) keys (kAuto).
-  template <typename SlotOfX, typename SlotOfY>
-  void CountSparseHash(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountSparseHash(const uint32_t* xs, const uint32_t* ys, size_t rows,
                        bool drop);
-  template <typename SlotOfX, typename SlotOfY>
-  void CountSparsePacked(SlotOfX x_slot, SlotOfY y_slot, size_t rows,
+  void CountSparsePacked(const uint32_t* xs, const uint32_t* ys, size_t rows,
                          bool drop);
 
   // Ascending radix sort of keys_ (LSD, byte digits, ping-pong via

@@ -109,11 +109,8 @@ class StatCache {
 
   // Edge memo: the exact double a graph-builder fold produced for view
   // columns (x, y) under `fold_tag` (the caller's encoding of the edge
-  // measure — and, for pairs estimated by the opt-in sketch tier, the
-  // sketch shape, so a sketched value never aliases the exact one or a
-  // different (epsilon, delta); see EdgeFoldTag in graph_builder.cc).
-  // The tag deliberately excludes the exact-kernel knobs: dense, sparse,
-  // and every dispatch strategy emit bit-identical folds. GetEdge
+  // measure). The tag deliberately excludes the kernel knobs: dense,
+  // sparse, and every dispatch strategy emit bit-identical folds. GetEdge
   // returns true and writes `*value` on a hit; PutEdge stores a freshly
   // computed value (first insert wins). Keys live in base-column space
   // and are directional (see file comment), so a hit is bit-identical to

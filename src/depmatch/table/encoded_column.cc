@@ -28,7 +28,7 @@ EncodedColumn EncodedColumn::FromColumn(const Column& column) {
   for (int32_t code : column.codes()) {
     encoded.slots_.push_back(static_cast<uint32_t>(code + 1));
   }
-  encoded.dictionary_ = column.dictionary();
+  encoded.distinct_count_ = column.distinct_count();
   encoded.null_count_ = column.null_count();
   return encoded;
 }

@@ -44,28 +44,28 @@
 
 namespace depmatch {
 
-// One frozen column: dense slot array plus its value dictionary snapshot.
+// One frozen column: its dense slot array. The values behind the slots
+// stay in the source Column; statistics need only the slots.
 class EncodedColumn {
  public:
-  // Slot-encodes `column` (slot = code + 1; null = 0).
+  // Slot-encodes `column` (slot = code + 1; null = 0). The only place a
+  // Column becomes slots.
   static EncodedColumn FromColumn(const Column& column);
 
   size_t size() const { return slots_.size(); }
-  // Number of distinct non-null values in the base dictionary.
-  size_t distinct_count() const { return dictionary_.size(); }
+  // Number of distinct non-null values in the source column's dictionary.
+  size_t distinct_count() const { return distinct_count_; }
   // distinct_count() + 1: the marginal slot-array length (slot 0 = null).
   uint32_t num_slots() const {
-    return static_cast<uint32_t>(dictionary_.size() + 1);
+    return static_cast<uint32_t>(distinct_count_ + 1);
   }
   uint64_t null_count() const { return null_count_; }
 
   const std::vector<uint32_t>& slots() const { return slots_; }
-  // Value for slot s is dictionary()[s - 1]; slot 0 is null.
-  const std::vector<Value>& dictionary() const { return dictionary_; }
 
  private:
   std::vector<uint32_t> slots_;
-  std::vector<Value> dictionary_;
+  size_t distinct_count_ = 0;
   uint64_t null_count_ = 0;
 };
 

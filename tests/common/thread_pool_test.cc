@@ -118,7 +118,7 @@ TEST(ThreadPoolTest, DestructionWithLongQueueDrainsEverything) {
 
 TEST(ThreadPoolTest, TasksMustNotThrow) {
   // DepMatch tasks are exception-free by contract: library code never
-  // throws (tools/depmatch_lint.cc's no-throw rule enforces it at the
+  // throws (tools/depmatch_analyze's no-throw rule enforces it at the
   // source level), so WorkerLoop intentionally has no try/catch — an
   // escaping exception would std::terminate. This test documents the
   // invariant: every task communicates failure through captured state,

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "depmatch/common/rng.h"
 #include "depmatch/datagen/bayes_net.h"
+#include "depmatch/stats/association.h"
 #include "depmatch/stats/entropy.h"
 #include "depmatch/stats/joint_kernel.h"
 #include "depmatch/table/csv.h"
@@ -36,18 +40,69 @@ TEST(GraphBuilderTest, DiagonalIsEntropy) {
   }
 }
 
-TEST(GraphBuilderTest, OffDiagonalIsPairwiseMi) {
-  Table table = FigureThreeTable();
-  auto graph = BuildDependencyGraph(table);
-  ASSERT_TRUE(graph.ok());
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      if (i == j) continue;
-      EXPECT_NEAR(graph->mi(i, j),
-                  MutualInformation(table.column(i), table.column(j)),
-                  1e-12);
+// Seeded 400x8 CSV table with ~8% empty cells (nulls), small alphabets
+// on seven columns and 300 values on the last.
+Table NullyMixedAlphabetTable() {
+  Rng rng(1203);
+  std::string csv = "c0,c1,c2,c3,c4,c5,c6,c7\n";
+  for (size_t r = 0; r < 400; ++r) {
+    for (size_t c = 0; c < 8; ++c) {
+      if (c > 0) csv += ',';
+      if (rng.NextBernoulli(0.08)) continue;
+      uint64_t alphabet = c == 7 ? 300 : 2 + 3 * c;
+      csv += "v" + std::to_string(rng.NextBounded(alphabet));
+    }
+    csv += '\n';
+  }
+  auto table = ReadCsvString(csv, {});
+  EXPECT_TRUE(table.ok());
+  return table.value();
+}
+
+// The column-level statistics count with the builder's kernel and fold
+// like DependencyEdgeValue, so they equal the graph bit for bit. Only
+// i < j is compared: the builder folds the (i, j) orientation, and
+// MI(y, x) sums the cells in another order.
+void ExpectStatisticsEqualGraph(const Table& table) {
+  const size_t n = table.num_attributes();
+  for (NullPolicy policy :
+       {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
+    for (size_t budget : {kDefaultDenseCellBudget, size_t{0}}) {
+      for (DependencyMeasure measure :
+           {DependencyMeasure::kMutualInformation,
+            DependencyMeasure::kNormalizedMutualInformation,
+            DependencyMeasure::kCramersV}) {
+        DependencyGraphOptions options;
+        options.stats.null_policy = policy;
+        options.stats.dense_cell_budget = budget;
+        options.measure = measure;
+        auto graph = BuildDependencyGraph(table, options);
+        ASSERT_TRUE(graph.ok());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(graph->entropy(i),
+                    EntropyOf(table.column(i), options.stats));
+          for (size_t j = i + 1; j < n; ++j) {
+            const Column& x = table.column(i);
+            const Column& y = table.column(j);
+            double direct =
+                measure == DependencyMeasure::kMutualInformation
+                    ? MutualInformation(x, y, options.stats)
+                : measure == DependencyMeasure::kNormalizedMutualInformation
+                    ? NormalizedMutualInformation(x, y, options.stats)
+                    : CramersV(x, y, options.stats);
+            EXPECT_EQ(graph->mi(i, j), direct)
+                << "pair (" << i << ", " << j << "), measure "
+                << static_cast<int>(measure) << ", budget " << budget;
+          }
+        }
+      }
     }
   }
+}
+
+TEST(GraphBuilderTest, OffDiagonalIsPairwiseMi) {
+  ExpectStatisticsEqualGraph(FigureThreeTable());
+  ExpectStatisticsEqualGraph(NullyMixedAlphabetTable());
 }
 
 TEST(GraphBuilderTest, MatrixIsSymmetric) {
@@ -212,10 +267,13 @@ TEST(GraphBuilderTest, DensePathIsReEncodingInvariant) {
   Table table = RandomChainTable(2000, 21);
   DependencyGraphOptions options;
   // All pairs must take the dense path for this to exercise it.
+  std::shared_ptr<const EncodedTable> snapshot =
+      EncodedTable::FromTable(table);
   for (size_t i = 0; i < table.num_attributes(); ++i) {
     for (size_t j = i + 1; j < table.num_attributes(); ++j) {
-      ASSERT_TRUE(JointCountKernel::UseDense(table.column(i),
-                                             table.column(j), options.stats));
+      ASSERT_TRUE(JointCountKernel::UseDense(CodeViewOf(snapshot->column(i)),
+                                             CodeViewOf(snapshot->column(j)),
+                                             options.stats));
     }
   }
   auto baseline = BuildDependencyGraph(table, options);

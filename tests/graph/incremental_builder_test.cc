@@ -198,15 +198,6 @@ TEST(IncrementalBuilderTest, SparsifiedRefreshMatchesSparsifiedColdRebuild) {
   }
 }
 
-TEST(IncrementalBuilderTest, RejectsSketchMode) {
-  IncrementalBuildOptions options;
-  options.graph.stats.sketch_mode = SketchMode::kCountMin;
-  Result<IncrementalGraphBuilder> builder =
-      IncrementalGraphBuilder::Create(MakeTable(1, 20, false), options);
-  ASSERT_FALSE(builder.ok());
-  EXPECT_EQ(builder.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(IncrementalBuilderTest, LastRefreshedColumnsTracksDirtySet) {
   // Symbol policy: every append dirties everything.
   Result<IncrementalGraphBuilder> builder =

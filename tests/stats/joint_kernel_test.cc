@@ -9,6 +9,7 @@
 #include "depmatch/stats/association.h"
 #include "depmatch/stats/entropy.h"
 #include "depmatch/stats/histogram.h"
+#include "depmatch/table/encoded_column.h"
 
 namespace depmatch {
 namespace {
@@ -51,7 +52,8 @@ TEST(ColumnMarginalTest, MatchesHistogramAndEntropyOf) {
   Column col = RandomColumn(rng, 500, 17, 0.1);
   for (NullPolicy policy :
        {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
-    ColumnMarginal m = ComputeColumnMarginal(col, policy);
+    EncodedColumn encoded = EncodedColumn::FromColumn(col);
+    ColumnMarginal m = ComputeColumnMarginal(CodeViewOf(encoded), policy);
     Histogram h = Histogram::FromColumn(col, policy);
     EXPECT_EQ(m.total, h.total());
     EXPECT_EQ(m.support, h.support_size());
@@ -66,8 +68,10 @@ TEST(ColumnMarginalTest, MatchesHistogramAndEntropyOf) {
 }
 
 TEST(JointCountKernelTest, DenseSelectionRule) {
-  Column x = Int64Column({0, 1, 2, 3});  // 4 distinct -> 5 slots
-  Column y = Int64Column({0, 1, 0, 1});  // 2 distinct -> 3 slots
+  EncodedColumn ex = EncodedColumn::FromColumn(Int64Column({0, 1, 2, 3}));
+  EncodedColumn ey = EncodedColumn::FromColumn(Int64Column({0, 1, 0, 1}));
+  CodeView x = CodeViewOf(ex);  // 4 distinct -> 5 slots
+  CodeView y = CodeViewOf(ey);  // 2 distinct -> 3 slots
   StatsOptions options;
   options.auto_dense_budget = false;  // exercise the static budget alone
   options.dense_cell_budget = 15;     // 5 * 3 = 15 fits exactly
@@ -94,8 +98,10 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
 
   // 15 cells exceed the static budget of 1 but fit the measured-shape
   // allowance (4 rows * kDenseAutoCellsPerRow), so the pair goes dense.
-  Column x = Int64Column({0, 1, 2, 3});  // 4 rows, 5 slots
-  Column y = Int64Column({0, 1, 0, 1});  // 3 slots
+  EncodedColumn ex = EncodedColumn::FromColumn(Int64Column({0, 1, 2, 3}));
+  EncodedColumn ey = EncodedColumn::FromColumn(Int64Column({0, 1, 0, 1}));
+  CodeView x = CodeViewOf(ex);  // 4 rows, 5 slots
+  CodeView y = CodeViewOf(ey);  // 3 slots
   EXPECT_TRUE(JointCountKernel::UseDense(x, y, options));
 
   // Budget 0 still forces sparse: auto never overrides the opt-out.
@@ -106,9 +112,11 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
   // The allowance is row-bounded: two all-distinct 5000-row columns give
   // 5001^2 ~ 25M cells > 5000 * kDenseAutoCellsPerRow ~ 20.5M, so the
   // pair stays sparse under a tiny static budget...
-  Column big_x = DistinctColumn(5000);
-  Column big_y = DistinctColumn(5000);
-  ASSERT_GT((big_x.distinct_count() + 1) * (big_y.distinct_count() + 1),
+  EncodedColumn big_ex = EncodedColumn::FromColumn(DistinctColumn(5000));
+  EncodedColumn big_ey = EncodedColumn::FromColumn(DistinctColumn(5000));
+  CodeView big_x = CodeViewOf(big_ex);
+  CodeView big_y = CodeViewOf(big_ey);
+  ASSERT_GT(size_t{big_x.num_slots} * big_y.num_slots,
             5000 * kDenseAutoCellsPerRow);
   EXPECT_FALSE(JointCountKernel::UseDense(big_x, big_y, options));
 
@@ -116,7 +124,7 @@ TEST(JointCountKernelTest, AutoDenseBudgetUsesMeasuredShape) {
   options.dense_cell_budget = size_t{1} << 26;
   EXPECT_TRUE(JointCountKernel::UseDense(big_x, big_y, options));
 
-  // The CodeView overload applies the same rule.
+  // A hand-built CodeView follows the same rule.
   std::vector<uint32_t> slots = {1, 2, 1, 2};
   CodeView view{slots.data(), slots.size(), 3, 0};
   StatsOptions tiny;
@@ -130,13 +138,16 @@ TEST(JointCountKernelTest, MatchesJointHistogram) {
   Rng rng(5);
   Column x = RandomColumn(rng, 400, 13, 0.15);
   Column y = RandomColumn(rng, 400, 7, 0.15);
+  EncodedColumn ex = EncodedColumn::FromColumn(x);
+  EncodedColumn ey = EncodedColumn::FromColumn(y);
   for (NullPolicy policy :
        {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
     for (bool dense : {true, false}) {
       StatsOptions options = dense ? DenseOptions(policy)
                                    : SparseOptions(policy);
       JointCountKernel kernel;
-      const JointCounts& counts = kernel.Count(x, y, options);
+      const JointCounts& counts =
+          kernel.Count(CodeViewOf(ex), CodeViewOf(ey), options);
       EXPECT_EQ(counts.used_dense, dense);
 
       JointHistogram joint = JointHistogram::FromColumns(x, y, policy);
@@ -156,12 +167,15 @@ TEST(JointCountKernelTest, MatchesJointHistogram) {
 
 TEST(JointCountKernelTest, CellsAreInCanonicalOrder) {
   Rng rng(9);
-  Column x = RandomColumn(rng, 300, 19, 0.05);
-  Column y = RandomColumn(rng, 300, 23, 0.05);
+  EncodedColumn x =
+      EncodedColumn::FromColumn(RandomColumn(rng, 300, 19, 0.05));
+  EncodedColumn y =
+      EncodedColumn::FromColumn(RandomColumn(rng, 300, 23, 0.05));
   for (bool dense : {true, false}) {
     StatsOptions options = dense ? DenseOptions() : SparseOptions();
     JointCountKernel kernel;
-    const JointCounts& counts = kernel.Count(x, y, options);
+    const JointCounts& counts =
+        kernel.Count(CodeViewOf(x), CodeViewOf(y), options);
     for (size_t c = 1; c < counts.num_cells(); ++c) {
       bool ordered =
           counts.cell_x_slots[c - 1] < counts.cell_x_slots[c] ||
@@ -235,8 +249,10 @@ TEST(JointCountKernelTest, AutoDispatchMatchesScalarAcrossStrategies) {
   for (const Shape& shape : shapes) {
     for (NullPolicy policy :
          {NullPolicy::kNullAsSymbol, NullPolicy::kDropNulls}) {
-      Column x = RandomColumn(rng, shape.rows, shape.alphabet_x, 0.1);
-      Column y = RandomColumn(rng, shape.rows, shape.alphabet_y, 0.1);
+      EncodedColumn x = EncodedColumn::FromColumn(
+          RandomColumn(rng, shape.rows, shape.alphabet_x, 0.1));
+      EncodedColumn y = EncodedColumn::FromColumn(
+          RandomColumn(rng, shape.rows, shape.alphabet_y, 0.1));
       StatsOptions auto_options;
       auto_options.null_policy = policy;
       if (shape.force_sparse) auto_options.dense_cell_budget = 0;
@@ -245,8 +261,10 @@ TEST(JointCountKernelTest, AutoDispatchMatchesScalarAcrossStrategies) {
 
       JointCountKernel auto_kernel;
       JointCountKernel scalar_kernel;
-      const JointCounts& a = auto_kernel.Count(x, y, auto_options);
-      const JointCounts& s = scalar_kernel.Count(x, y, scalar_options);
+      const JointCounts& a =
+          auto_kernel.Count(CodeViewOf(x), CodeViewOf(y), auto_options);
+      const JointCounts& s =
+          scalar_kernel.Count(CodeViewOf(x), CodeViewOf(y), scalar_options);
       EXPECT_EQ(a.used_dense, !shape.force_sparse);
       ExpectSameCounts(a, s);
     }
@@ -258,18 +276,25 @@ TEST(JointCountKernelTest, SortStrategyShapeReallyExceedsThreshold) {
   // move, the 600x600 shape must still exercise the radix path (cells
   // beyond the touched-scatter range but within the auto dense budget).
   Rng rng(9);
-  Column x = RandomColumn(rng, 3000, 600, 0.1);
-  Column y = RandomColumn(rng, 3000, 600, 0.1);
+  EncodedColumn x =
+      EncodedColumn::FromColumn(RandomColumn(rng, 3000, 600, 0.1));
+  EncodedColumn y =
+      EncodedColumn::FromColumn(RandomColumn(rng, 3000, 600, 0.1));
   size_t cells = (x.distinct_count() + 1) * (y.distinct_count() + 1);
   EXPECT_GT(cells, size_t{1} << 17);
   EXPECT_GT(cells, size_t{3000});  // not the lane/scan regime
-  EXPECT_TRUE(JointCountKernel::UseDense(x, y, StatsOptions{}));
+  EXPECT_TRUE(JointCountKernel::UseDense(CodeViewOf(x), CodeViewOf(y),
+                                         StatsOptions{}));
 }
 
 TEST(JointCountKernelTest, PairMarginalsOnlyWhenDroppingObservedNulls) {
   Rng rng(3);
-  Column with_nulls = RandomColumn(rng, 200, 6, 0.3);
-  Column no_nulls = RandomColumn(rng, 200, 6, 0.0);
+  EncodedColumn with_nulls_column =
+      EncodedColumn::FromColumn(RandomColumn(rng, 200, 6, 0.3));
+  EncodedColumn no_nulls_column =
+      EncodedColumn::FromColumn(RandomColumn(rng, 200, 6, 0.0));
+  CodeView with_nulls = CodeViewOf(with_nulls_column);
+  CodeView no_nulls = CodeViewOf(no_nulls_column);
   JointCountKernel kernel;
   EXPECT_FALSE(
       kernel.Count(with_nulls, no_nulls, DenseOptions()).has_marginals);
@@ -295,9 +320,14 @@ TEST(JointCountKernelTest, ScratchReuseAcrossPairsIsClean) {
   // must give the same answers as a fresh kernel per pair: the scratch
   // reset logic may not leak counts between pairs.
   Rng rng(77);
-  std::vector<Column> columns;
+  std::vector<EncodedColumn> encoded;
   for (int i = 0; i < 6; ++i) {
-    columns.push_back(RandomColumn(rng, 300, 3 + 7 * i, 0.1));
+    encoded.push_back(EncodedColumn::FromColumn(
+        RandomColumn(rng, 300, 3 + 7 * i, 0.1)));
+  }
+  std::vector<CodeView> columns;
+  for (const EncodedColumn& column : encoded) {
+    columns.push_back(CodeViewOf(column));
   }
   JointCountKernel reused;
   for (size_t i = 0; i < columns.size(); ++i) {
@@ -317,10 +347,11 @@ TEST(JointCountKernelTest, ScratchReuseAcrossPairsIsClean) {
 }
 
 TEST(JointCountKernelTest, EmptyColumns) {
-  Column x(DataType::kInt64);
-  Column y(DataType::kInt64);
+  EncodedColumn x = EncodedColumn::FromColumn(Column(DataType::kInt64));
+  EncodedColumn y = EncodedColumn::FromColumn(Column(DataType::kInt64));
   JointCountKernel kernel;
-  const JointCounts& counts = kernel.Count(x, y, DenseOptions());
+  const JointCounts& counts =
+      kernel.Count(CodeViewOf(x), CodeViewOf(y), DenseOptions());
   EXPECT_EQ(counts.total, 0u);
   EXPECT_EQ(counts.num_cells(), 0u);
 }

@@ -57,8 +57,9 @@ TEST(ComputeSelectionStatsTest, FullViewAliasesAndMatchesColumnMarginal) {
     // Aliased, not copied.
     EXPECT_TRUE(stats->owned_slots.empty());
     EXPECT_EQ(stats->slots, &view.column(c).slots());
+    EncodedColumn encoded = EncodedColumn::FromColumn(table.column(c));
     ColumnMarginal direct =
-        ComputeColumnMarginal(table.column(c), NullPolicy::kNullAsSymbol);
+        ComputeColumnMarginal(CodeViewOf(encoded), NullPolicy::kNullAsSymbol);
     EXPECT_EQ(stats->marginal.slots, direct.slots);
     EXPECT_EQ(stats->marginal.total, direct.total);
     EXPECT_EQ(stats->marginal.entropy, direct.entropy);

@@ -61,10 +61,6 @@ void ExpectSlotsMatchColumn(const EncodedColumn& encoded,
     EXPECT_EQ(encoded.slots()[r],
               static_cast<uint32_t>(column.codes()[r] + 1));
   }
-  for (size_t c = 0; c < column.distinct_count(); ++c) {
-    EXPECT_EQ(encoded.dictionary()[c],
-              column.dictionary()[c]);
-  }
 }
 
 TEST(EncodedColumnTest, SlotEncodingMatchesColumnCodes) {

@@ -58,7 +58,6 @@ TEST(AnalyzeSelfTest, FixtureTreeTriggersEveryRule) {
       "[layer-cycle]",     "[det-atomic-float]", "[det-reduce]",
       "[det-unordered-iter]", "[discarded-status]", "[no-throw]",
       "[no-std-random]",   "[raw-thread]",       "[header-guard]",
-      "[sketch-gate]",
   };
   for (const char* rule : kRules) {
     EXPECT_NE(r.output.find(rule), std::string::npos)
@@ -136,21 +135,6 @@ TEST(AnalyzeSelfTest, EmitArchProducesTheModuleGraph) {
   EXPECT_NE(arch.find("\"observed_includes\""), std::string::npos) << arch;
   EXPECT_NE(arch.find("\"from\": \"stats\""), std::string::npos) << arch;
   std::remove(out.c_str());
-}
-
-TEST(AnalyzeSelfTest, DeprecatedLintWrapperDelegates) {
-  std::string cmd = std::string(DEPMATCH_LINT_PATH) + " --root " +
-                    FixtureRoot() + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) output.append(buf, n);
-  int status = pclose(pipe);
-  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 1) << output;
-  EXPECT_NE(output.find("deprecated"), std::string::npos) << output;
-  EXPECT_NE(output.find("[lock-discipline]"), std::string::npos) << output;
 }
 
 }  // namespace

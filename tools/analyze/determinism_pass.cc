@@ -184,7 +184,6 @@ void DeterminismPass::CheckRequiredSentinels(
   // diff reviewer decides.
   static const char* kRequired[] = {
       "src/depmatch/stats/joint_kernel.cc",
-      "src/depmatch/stats/joint_sketch.cc",
       "src/depmatch/stats/stat_cache.cc",
       "src/depmatch/stats/count_state.cc",
       "src/depmatch/graph/incremental_builder.cc",

@@ -354,24 +354,6 @@ void LegacyPass::Check(const SourceFile& file,
              findings);
     }
   }
-
-  // sketch-gate (src/ only; the sketch module defines kernel and gate).
-  if (file.in_src && rel.find("stats/joint_sketch") == std::string::npos) {
-    static const std::regex kKernel(R"(\bJointSketchKernel\b)");
-    auto begin = std::sregex_iterator(code.begin(), code.end(), kKernel);
-    if (begin != std::sregex_iterator() &&
-        code.find("UseSketch") == std::string::npos) {
-      for (auto it = begin; it != std::sregex_iterator(); ++it) {
-        size_t line = LineOfOffset(code, static_cast<size_t>(it->position()));
-        Report(file, line, "sketch-gate",
-               "JointSketchKernel used without a UseSketch() gate; the "
-               "count-min tier is approximate and must only run when "
-               "StatsOptions::sketch_mode is explicitly set (see "
-               "stats/joint_sketch.h)",
-               findings);
-      }
-    }
-  }
 }
 
 }  // namespace depmatch_analyze

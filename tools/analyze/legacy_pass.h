@@ -12,7 +12,6 @@
 //   raw-thread        std::thread/jthread/async/pthread_create outside
 //                     common/thread_pool
 //   header-guard      DEPMATCH_<PATH>_H_ include guards
-//   sketch-gate       JointSketchKernel use without a UseSketch() gate
 //
 // The old bit-identical construct check is NOT here: the determinism
 // pass supersedes it with src-wide det-atomic-float / det-reduce and the

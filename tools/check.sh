@@ -36,7 +36,7 @@ skip()  { printf 'SKIP: %s\n' "$*"; }
 note "clang-format (style: .clang-format)"
 if command -v clang-format >/dev/null 2>&1; then
   if find src tests bench tools -name '*.cc' -o -name '*.h' \
-      | grep -v -e lint_fixtures -e analyze_fixtures \
+      | grep -v analyze_fixtures \
       | xargs clang-format --dry-run -Werror; then
     echo "format clean"
   else
