@@ -43,7 +43,8 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   // Runs `fn(i)` for i in [0, count), distributing across the pool, and
-  // waits for completion. `fn` must be safe to call concurrently.
+  // waits for completion. `fn` must be safe to call concurrently. The
+  // workers are placed as ParallelForWithWorker's are.
   static void ParallelFor(size_t num_threads, size_t count,
                           const std::function<void(size_t)>& fn);
 
@@ -51,7 +52,9 @@ class ThreadPool {
   // as the first argument, so callers can give each worker its own
   // reusable scratch (O(threads) buffers instead of O(count)). Each index
   // runs on exactly one worker; the serial path (num_threads <= 1) uses
-  // worker 0 throughout.
+  // worker 0 throughout. On Linux each worker starts on its own CPU of
+  // the caller's affinity mask (wrapping when there are fewer CPUs) and
+  // keeps the caller's mask, so the scheduler may still move it.
   static void ParallelForWithWorker(
       size_t num_threads, size_t count,
       const std::function<void(size_t worker, size_t index)>& fn);

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -64,9 +65,10 @@ double BestTermAgainst(const Metric& metric, double x, const double* ascending,
 }
 
 // Bounded-size min-heap of the best completed ranking keys, publishing
-// the k-th best through an atomic the workers read without locking. The
-// threshold only ever increases, so a prune decision made against a
-// stale (lower) threshold is merely conservative — never wrong.
+// the k-th best through an atomic that reads without taking the heap's
+// lock. The threshold only ever increases, so a prune decision made
+// against a stale (lower) threshold is merely conservative — never
+// wrong.
 // std::atomic<double> is intentionally avoided (and lint-banned in this
 // file): the double's bit pattern rides in a uint64_t instead.
 class SharedTopK {
@@ -327,6 +329,274 @@ double CatalogEntryBound(const GraphSignature& query,
   return AdmissibleBoundSlack(maximize ? total : -metric.Finalize(total));
 }
 
+std::string CatalogSearchStats::ToString() const {
+  return StrFormat(
+      "total=%zu incompatible=%zu pruned=%zu searched=%zu bounds=%zu"
+      " cluster_bounds=%zu",
+      entries_total, entries_incompatible, entries_pruned, entries_searched,
+      bound_evaluations, cluster_bound_evaluations);
+}
+
+namespace {
+
+// One item of the best-first frontier: an index subtree or a single
+// entry, keyed by its admissible bound.
+struct FrontierItem {
+  double bound;
+  bool is_entry;
+  size_t id;  // entry id when is_entry, node id otherwise
+};
+
+// priority_queue keeps the *highest* priority at top with a
+// "lower-priority-than" comparator. Ties break deterministically:
+// entries before subtrees, then smaller id.
+struct LowerPriority {
+  bool operator()(const FrontierItem& a, const FrontierItem& b) const {
+    if (a.bound != b.bound) return a.bound < b.bound;
+    if (a.is_entry != b.is_entry) return b.is_entry;
+    return a.id > b.id;
+  }
+};
+
+std::vector<uint8_t> CompatibleEntries(const CatalogEntryView& view,
+                                       Cardinality cardinality,
+                                       size_t query_width) {
+  std::vector<uint8_t> compatible(view.count(), 0);
+  for (size_t e = 0; e < compatible.size(); ++e) {
+    compatible[e] =
+        EntryCompatible(cardinality, query_width, view.width(e)) ? 1 : 0;
+  }
+  return compatible;
+}
+
+// Prefix sums of `compatible` over the index's entry order, so a subtree
+// counts its compatible members in O(1). Empty without an index.
+std::vector<size_t> CompatPrefix(const CatalogTieredIndex* index,
+                                 const std::vector<uint8_t>& compatible) {
+  if (index == nullptr) return {};
+  const std::vector<size_t>& order = index->entry_order();
+  std::vector<size_t> prefix(order.size() + 1, 0);
+  for (size_t i = 0; i < order.size(); ++i) {
+    prefix[i + 1] = prefix[i] + static_cast<size_t>(compatible[order[i]]);
+  }
+  return prefix;
+}
+
+// The best-first top-k search behind SearchCatalogView, shared by its
+// workers. Every frontier step (the prune test, expanding a subtree in
+// place, taking an entry) happens under mu_, so entries are taken in one
+// deterministic order at any thread count; only the entries' graph loads
+// and GraphMatch calls run outside the lock, and those overlap.
+class FrontierSearch {
+ public:
+  // Seeds the frontier: the root subtree when `index` is non-null (the
+  // tiered descent), else every compatible entry keyed by its bound, or
+  // by +inf with the prefilter off (the flat pass).
+  FrontierSearch(const DependencyGraph& query, const CatalogEntryView& view,
+                 const CatalogTieredIndex* index,
+                 const CatalogSearchOptions& options);
+  // Workers hold its address.
+  FrontierSearch(const FrontierSearch&) = delete;
+  FrontierSearch& operator=(const FrontierSearch&) = delete;
+
+  size_t num_compatible() const { return num_compatible_; }
+
+  // One worker: takes frontier items until the frontier is empty, its top
+  // bound falls strictly below the top-k threshold, or an entry failed.
+  void Work() DEPMATCH_EXCLUDES(mu_);
+
+  // After every worker has returned: the top-k ranking, or the failure
+  // of the entry taken first.
+  Result<CatalogSearchResult> TakeRanking() DEPMATCH_EXCLUDES(mu_);
+
+ private:
+  struct Failure {
+    size_t position;  // order in which the entry was taken
+    size_t entry;
+    Status status;
+  };
+
+  // Pushes subtree `node` with its envelope bound, unless it holds no
+  // compatible entry.
+  void PushSubtree(size_t node) DEPMATCH_REQUIRES(mu_);
+  // Pushes a subtree's children, or a leaf's compatible entries with
+  // their entry bounds.
+  void Expand(size_t node) DEPMATCH_REQUIRES(mu_);
+  // No speculation past k: until k entries have completed the threshold
+  // is -inf, and the first k entries taken are exactly the ones a 1-thread
+  // search matches before it can prune anything. A worker takes nothing
+  // beyond them until they complete. Without the prefilter nothing is
+  // pruned, so nobody waits.
+  bool MustWait() const DEPMATCH_REQUIRES(mu_);
+  // Loads entry `e` and matches it against the query (no lock held).
+  Result<CatalogMatch> Match(size_t e) const;
+
+  const DependencyGraph& query_;
+  const CatalogEntryView& view_;
+  const CatalogTieredIndex* const index_;
+  const CatalogSearchOptions& options_;
+  const Metric metric_;
+  const GraphSignature query_signature_;
+  const std::vector<uint8_t> compatible_;
+  const size_t num_compatible_;
+  const std::vector<size_t> compat_prefix_;
+
+  std::mutex mu_;
+  std::condition_variable entry_done_;
+  std::priority_queue<FrontierItem, std::vector<FrontierItem>, LowerPriority>
+      frontier_ DEPMATCH_GUARDED_BY(mu_);
+  SharedTopK top_k_ DEPMATCH_GUARDED_BY(mu_);
+  size_t taken_ DEPMATCH_GUARDED_BY(mu_) = 0;
+  std::vector<CatalogMatch> ranked_ DEPMATCH_GUARDED_BY(mu_);
+  std::optional<Failure> failure_ DEPMATCH_GUARDED_BY(mu_);
+  CatalogSearchStats stats_ DEPMATCH_GUARDED_BY(mu_);
+};
+
+FrontierSearch::FrontierSearch(const DependencyGraph& query,
+                               const CatalogEntryView& view,
+                               const CatalogTieredIndex* index,
+                               const CatalogSearchOptions& options)
+    : query_(query),
+      view_(view),
+      index_(index),
+      options_(options),
+      metric_(options.match.metric, options.match.alpha),
+      query_signature_(query),
+      compatible_(
+          CompatibleEntries(view, options.match.cardinality, query.size())),
+      num_compatible_(static_cast<size_t>(
+          std::count(compatible_.begin(), compatible_.end(), uint8_t{1}))),
+      compat_prefix_(CompatPrefix(index, compatible_)),
+      top_k_(options.k) {
+  // No worker runs yet; the lock keeps every frontier_ access under mu_.
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.entries_total = compatible_.size();
+  stats_.entries_incompatible = compatible_.size() - num_compatible_;
+  if (index_ != nullptr) {
+    PushSubtree(index_->root());
+    return;
+  }
+  std::vector<FrontierItem> entries;
+  entries.reserve(num_compatible_);
+  for (size_t e = 0; e < compatible_.size(); ++e) {
+    if (compatible_[e] == 0) continue;
+    double bound = std::numeric_limits<double>::infinity();
+    if (options_.use_prefilter) {
+      ++stats_.bound_evaluations;
+      bound = CatalogEntryBound(query_signature_, view_.signature(e), metric_,
+                                options_.match.cardinality);
+    }
+    entries.push_back({bound, true, e});
+  }
+  frontier_ = decltype(frontier_)(LowerPriority(), std::move(entries));
+}
+
+void FrontierSearch::PushSubtree(size_t node) {
+  const TieredIndexNode& span = index_->node(node);
+  if (compat_prefix_[span.end] == compat_prefix_[span.begin]) return;
+  ++stats_.cluster_bound_evaluations;
+  frontier_.push({index_->ClusterBound(node, query_signature_, metric_,
+                                       options_.match.cardinality),
+                  false, node});
+}
+
+void FrontierSearch::Expand(size_t node) {
+  const TieredIndexNode& span = index_->node(node);
+  if (span.left >= 0) {
+    PushSubtree(static_cast<size_t>(span.left));
+    PushSubtree(static_cast<size_t>(span.right));
+    return;
+  }
+  const std::vector<size_t>& order = index_->entry_order();
+  for (size_t i = span.begin; i < span.end; ++i) {
+    size_t e = order[i];
+    if (compatible_[e] == 0) continue;
+    ++stats_.bound_evaluations;
+    frontier_.push({CatalogEntryBound(query_signature_, view_.signature(e),
+                                      metric_, options_.match.cardinality),
+                    true, e});
+  }
+}
+
+bool FrontierSearch::MustWait() const {
+  return options_.use_prefilter && !failure_.has_value() &&
+         ranked_.size() < options_.k && taken_ >= options_.k;
+}
+
+Result<CatalogMatch> FrontierSearch::Match(size_t e) const {
+  Result<const DependencyGraph*> graph = view_.graph(e);
+  if (!graph.ok()) return graph.status();
+  Result<MatchResult> match = MatchGraphs(query_, **graph, options_.match);
+  if (!match.ok()) return match.status();
+  const double n = static_cast<double>(query_.size());
+  CatalogMatch candidate;
+  candidate.entry = e;
+  candidate.name = view_.name(e);
+  candidate.match = *std::move(match);
+  candidate.ranking_key = metric_.maximize() ? candidate.match.metric_value
+                                             : -candidate.match.metric_value;
+  candidate.normalized_score =
+      candidate.ranking_key / (metric_.structural() ? n * n : n);
+  return candidate;
+}
+
+void FrontierSearch::Work() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    while (MustWait()) entry_done_.wait(lock);
+    if (failure_.has_value() || frontier_.empty()) return;
+    const FrontierItem top = frontier_.top();
+    // Strict <: a bound that ties the k-th best key is never pruned, so
+    // boundary ties resolve identically at every thread count and with or
+    // without the index. The threshold only rises, so every item left in
+    // the frontier stays below it: the search is over.
+    if (top.bound < top_k_.Threshold()) return;
+    frontier_.pop();
+    if (!top.is_entry) {
+      Expand(top.id);
+      continue;
+    }
+    const size_t position = taken_++;
+    lock.unlock();
+    Result<CatalogMatch> match = Match(top.id);
+    lock.lock();
+    if (match.ok()) {
+      top_k_.Submit(match->ranking_key);
+      ranked_.push_back(*std::move(match));
+    } else if (!failure_.has_value() || position < failure_->position) {
+      failure_ = Failure{position, top.id, match.status()};
+    }
+    entry_done_.notify_all();
+  }
+}
+
+Result<CatalogSearchResult> FrontierSearch::TakeRanking() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (failure_.has_value()) {
+    const Failure& failure = *failure_;
+    return Status(failure.status.code(),
+                  StrFormat("searching catalog entry %zu ('%s'): %s",
+                            failure.entry, view_.name(failure.entry).c_str(),
+                            failure.status.message().c_str()));
+  }
+  CatalogSearchResult out;
+  out.stats = stats_;
+  out.stats.entries_searched = ranked_.size();
+  out.stats.entries_pruned = num_compatible_ - ranked_.size();
+  std::sort(ranked_.begin(), ranked_.end(),
+            [](const CatalogMatch& a, const CatalogMatch& b) {
+              if (a.ranking_key != b.ranking_key) {
+                return a.ranking_key > b.ranking_key;
+              }
+              return a.entry < b.entry;
+            });
+  if (ranked_.size() > options_.k) ranked_.resize(options_.k);
+  out.ranked = std::move(ranked_);
+  return out;
+}
+
+}  // namespace
+
 Result<CatalogSearchResult> SearchCatalogView(
     const DependencyGraph& query, const CatalogEntryView& view,
     const CatalogTieredIndex* index, const CatalogSearchOptions& options) {
@@ -336,265 +606,17 @@ Result<CatalogSearchResult> SearchCatalogView(
   if (query.size() == 0) {
     return InvalidArgumentError("catalog search requires a non-empty query");
   }
-  const Metric metric(options.match.metric, options.match.alpha);
-  const GraphSignature query_signature(query);
-  const size_t n = query.size();
-  const size_t count = view.count();
-
-  CatalogSearchResult out;
-  out.stats.entries_total = count;
-
-  // Width compatibility is a cheap scan over the entry table (no graph
-  // loads, no bound evaluations); on the tiered path, prefix sums over
-  // the index's entry permutation let subtree pruning account for its
-  // compatible members in O(1).
-  std::vector<uint8_t> compatible(count, 0);
-  for (size_t e = 0; e < count; ++e) {
-    if (EntryCompatible(options.match.cardinality, n, view.width(e))) {
-      compatible[e] = 1;
-    } else {
-      ++out.stats.entries_incompatible;
-    }
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> bounds(count, -kInf);
-  SharedTopK shared(options.k);
-  std::vector<std::optional<CatalogMatch>> slots(count);
-  std::vector<Status> errors(count);
-  std::vector<uint8_t> pruned(count, 0);
-  const bool maximize = metric.maximize();
-  const double denominator =
-      metric.structural() ? static_cast<double>(n) * static_cast<double>(n)
-                          : static_cast<double>(n);
-
-  // Full GraphMatch for one entry; callable from any thread (see the
-  // CatalogEntryView threading contract). Failures land in errors[e].
-  auto run_entry = [&](size_t e) {
-    Result<const DependencyGraph*> graph = view.graph(e);
-    if (!graph.ok()) {
-      errors[e] = graph.status();
-      return;
-    }
-    Result<MatchResult> match = MatchGraphs(query, **graph, options.match);
-    if (!match.ok()) {
-      errors[e] = match.status();
-      return;
-    }
-    CatalogMatch candidate;
-    candidate.entry = e;
-    candidate.name = view.name(e);
-    candidate.match = *std::move(match);
-    candidate.ranking_key = maximize ? candidate.match.metric_value
-                                     : -candidate.match.metric_value;
-    candidate.normalized_score = candidate.ranking_key / denominator;
-    shared.Submit(candidate.ranking_key);
-    slots[e] = std::move(candidate);
-  };
-
   const bool tiered = options.use_prefilter && options.use_index &&
                       index != nullptr && !index->empty() &&
-                      index->num_entries() == count;
-
-  // Candidate discovery visits entries in descending bound order. The
-  // first warm_target survivors are matched inline on this thread
-  // (warm-up): the threshold cannot prune until k keys exist, so those
-  // matches gain nothing from the pool, and completing the most
-  // promising entries first lifts the threshold to a near-final value
-  // before anything else is considered. The rest land in `deferred`.
-  //
-  // The tiered descent warms log2(count) extra entries beyond k. The
-  // threshold is frozen once warm-up ends (deferred entries do not
-  // match until fan-out), so a single weak key among the first k —
-  // heuristic matchers can score far below an entry's admissible bound
-  // — would leave the k-th best key low for the entire descent and
-  // force near-total subtree expansion. A log-depth cushion lets
-  // later, stronger keys displace weak ones before the threshold is
-  // locked in, at the cost of a handful of serial matches.
-  std::vector<size_t> deferred;
-  deferred.reserve(count);
-  size_t warmed = 0;
-  size_t warm_target = options.use_prefilter ? options.k : 0;
-  if (tiered && warm_target > 0) {
-    size_t depth = 0;
-    for (size_t span = count; span > 1; span >>= 1) ++depth;
-    warm_target += depth;
-  }
-  bool failed = false;
-  auto warm_or_defer = [&](size_t e) {
-    if (warmed < warm_target) {
-      ++warmed;
-      run_entry(e);
-      if (!errors[e].ok()) failed = true;
-      return;
-    }
-    deferred.push_back(e);
-  };
-
-  if (tiered) {
-    // Best-first branch-and-bound over the tiered index: a max-heap of
-    // subtrees and entries keyed by admissible bound. Popping an item
-    // below the (monotone) threshold proves every remaining item is
-    // below it too, so the whole frontier drains as pruned.
-    const std::vector<size_t>& order = index->entry_order();
-    std::vector<size_t> compat_prefix(count + 1, 0);
-    for (size_t i = 0; i < count; ++i) {
-      compat_prefix[i + 1] =
-          compat_prefix[i] + static_cast<size_t>(compatible[order[i]]);
-    }
-    auto compatible_in = [&](const TieredIndexNode& node) {
-      return compat_prefix[node.end] - compat_prefix[node.begin];
-    };
-
-    struct Frontier {
-      double bound;
-      bool is_entry;
-      size_t id;  // entry id when is_entry, node id otherwise
-    };
-    // priority_queue keeps the *highest* priority at top with a
-    // "lower-priority-than" comparator. Ties break deterministically:
-    // entries before subtrees, then smaller id.
-    auto lower_priority = [](const Frontier& a, const Frontier& b) {
-      if (a.bound != b.bound) return a.bound < b.bound;
-      if (a.is_entry != b.is_entry) return b.is_entry;
-      return a.id > b.id;
-    };
-    std::priority_queue<Frontier, std::vector<Frontier>,
-                        decltype(lower_priority)>
-        frontier(lower_priority);
-    if (compatible_in(index->node(index->root())) > 0) {
-      ++out.stats.cluster_bound_evaluations;
-      frontier.push({index->ClusterBound(index->root(), query_signature,
-                                         metric, options.match.cardinality),
-                     false, index->root()});
-    }
-    while (!frontier.empty() && !failed) {
-      Frontier item = frontier.top();
-      // Strict <: a bound that ties the k-th best key is never pruned,
-      // so boundary ties resolve identically at every thread count and
-      // with or without the index.
-      if (item.bound < shared.Threshold()) {
-        while (!frontier.empty()) {
-          Frontier rest = frontier.top();
-          frontier.pop();
-          if (rest.is_entry) {
-            pruned[rest.id] = 1;
-          } else {
-            const TieredIndexNode& node = index->node(rest.id);
-            for (size_t i = node.begin; i < node.end; ++i) {
-              if (compatible[order[i]] != 0) pruned[order[i]] = 1;
-            }
-          }
-        }
-        break;
-      }
-      frontier.pop();
-      if (item.is_entry) {
-        bounds[item.id] = item.bound;
-        warm_or_defer(item.id);
-        continue;
-      }
-      const TieredIndexNode& node = index->node(item.id);
-      if (node.left < 0) {
-        for (size_t i = node.begin; i < node.end; ++i) {
-          size_t e = order[i];
-          if (compatible[e] == 0) continue;
-          ++out.stats.bound_evaluations;
-          frontier.push({CatalogEntryBound(query_signature, view.signature(e),
-                                           metric, options.match.cardinality),
-                         true, e});
-        }
-      } else {
-        for (int64_t child : {node.left, node.right}) {
-          size_t child_id = static_cast<size_t>(child);
-          if (compatible_in(index->node(child_id)) == 0) continue;
-          ++out.stats.cluster_bound_evaluations;
-          frontier.push({index->ClusterBound(child_id, query_signature, metric,
-                                             options.match.cardinality),
-                         false, child_id});
-        }
-      }
-    }
-  } else {
-    // Flat pass: bound every compatible entry, then visit in descending
-    // bound order. Highest bound first means the most promising entries
-    // complete earliest and lift the shared threshold fastest.
-    std::vector<size_t> candidates;
-    candidates.reserve(count);
-    for (size_t e = 0; e < count; ++e) {
-      if (compatible[e] == 0) continue;
-      if (options.use_prefilter) {
-        ++out.stats.bound_evaluations;
-        bounds[e] = CatalogEntryBound(query_signature, view.signature(e),
-                                      metric, options.match.cardinality);
-      } else {
-        bounds[e] = kInf;
-      }
-      candidates.push_back(e);
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&bounds](size_t a, size_t b) {
-                       if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-                       return a < b;
-                     });
-    for (size_t e : candidates) {
-      if (failed) break;
-      if (options.use_prefilter && bounds[e] < shared.Threshold()) {
-        pruned[e] = 1;
-        continue;
-      }
-      warm_or_defer(e);
-    }
-  }
-
-  if (!failed) {
-    // Survivors the warm-up could not rule out. Spinning the pool up
-    // costs more than a handful of matches, so small survivor sets run
-    // here on the coordinator (CatalogSearchOptions::min_parallel_entries);
-    // results are identical either way because workers re-check the same
-    // strict bound-vs-threshold condition.
-    const bool fan_out = options.num_threads > 1 &&
-                         (options.min_parallel_entries == 0 ||
-                          deferred.size() >= options.min_parallel_entries);
-    ThreadPool::ParallelFor(
-        fan_out ? options.num_threads : 1, deferred.size(), [&](size_t i) {
-          size_t e = deferred[i];
-          // Strict <, as above. The threshold only grows, so a stale
-          // read can only under-prune.
-          if (options.use_prefilter && bounds[e] < shared.Threshold()) {
-            pruned[e] = 1;
-            return;
-          }
-          run_entry(e);
-        });
-  }
-
-  for (size_t e = 0; e < count; ++e) {
-    if (!errors[e].ok()) {
-      return Status(errors[e].code(),
-                    StrFormat("searching catalog entry %zu ('%s'): %s", e,
-                              view.name(e).c_str(),
-                              errors[e].message().c_str()));
-    }
-  }
-  for (size_t e = 0; e < count; ++e) {
-    if (pruned[e] != 0) ++out.stats.entries_pruned;
-    if (slots[e].has_value()) {
-      ++out.stats.entries_searched;
-      out.ranked.push_back(*std::move(slots[e]));
-    }
-  }
-  std::sort(out.ranked.begin(), out.ranked.end(),
-            [](const CatalogMatch& a, const CatalogMatch& b) {
-              if (a.ranking_key != b.ranking_key) {
-                return a.ranking_key > b.ranking_key;
-              }
-              return a.entry < b.entry;
-            });
-  if (out.ranked.size() > options.k) {
-    out.ranked.resize(options.k);
-  }
-  return out;
+                      index->num_entries() == view.count();
+  FrontierSearch search(query, view, tiered ? index : nullptr, options);
+  // Never more workers than compatible entries; a single worker runs on
+  // this thread.
+  const size_t workers = std::min(std::max<size_t>(options.num_threads, 1),
+                                  search.num_compatible());
+  ThreadPool::ParallelFor(workers, workers,
+                          [&search](size_t) { search.Work(); });
+  return search.TakeRanking();
 }
 
 namespace {

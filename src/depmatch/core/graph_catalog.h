@@ -24,11 +24,11 @@
 //     envelope bound dominates every member's entry bound, so the
 //     search prunes whole subtrees with one evaluation and the number
 //     of bound evaluations per query grows sublinearly in the corpus;
-//   * SearchCatalog(): best-first descent over the index (or a sorted
-//     flat pass without one), a serial warm-up that establishes the
-//     top-k threshold before fanning surviving candidates across the
-//     ThreadPool, and a shared atomic score threshold for cross-entry
-//     pruning — returning a deterministic top-k ranking that is
+//   * SearchCatalog(): one best-first loop over the index (or over every
+//     compatible entry keyed by its bound, without one), shared by up to
+//     num_threads workers that pop the frontier under one lock and run
+//     the entries' GraphMatch calls in parallel against a shared top-k
+//     threshold — returning a deterministic top-k ranking that is
 //     bit-identical at any thread count, with or without the index.
 //
 // The 100K-entry, open-without-loading-graphs shape of the same catalog
@@ -213,15 +213,12 @@ struct CatalogSearchOptions {
   // identical with or without it — the index only changes how many
   // bound evaluations the search performs.
   bool use_index = true;
-  // Worker threads for the catalog-level fan-out (1 = serial). The
-  // returned ranking is bit-identical at any value.
+  // Workers sharing the best-first frontier (1 = serial on the calling
+  // thread; never more than the compatible entries). Until k entries
+  // have completed a search starts no more than k, the number a serial
+  // search must match before it can prune anything. The returned
+  // ranking is bit-identical at any value.
   size_t num_threads = 1;
-  // With num_threads > 1, the search still runs serially when fewer
-  // than this many candidates survive the warm-up threshold: spinning
-  // up the pool costs more than a handful of matches (the small-corpus
-  // regression in BENCH_catalog.json). 0 always fans out. Results are
-  // identical either way.
-  size_t min_parallel_entries = 8;
 };
 
 struct CatalogMatch {
@@ -240,8 +237,8 @@ struct CatalogSearchStats {
   size_t entries_total = 0;
   // Width-incompatible with the requested cardinality (skipped upfront).
   size_t entries_incompatible = 0;
-  // Skipped by an admissible bound vs. the running threshold (counting
-  // every compatible entry of a pruned subtree). NOTE: scheduling-
+  // Compatible entries not searched: their admissible bound (or their
+  // subtree's) fell below the running threshold. NOTE: scheduling-
   // dependent — do not assert on this across thread counts.
   size_t entries_pruned = 0;
   // Entries that ran a full GraphMatch.
@@ -252,6 +249,9 @@ struct CatalogSearchStats {
   size_t bound_evaluations = 0;
   // Tiered-index envelope bound evaluations (0 on the flat path).
   size_t cluster_bound_evaluations = 0;
+
+  // The six counters on one line, for logs and test messages.
+  [[nodiscard]] std::string ToString() const;
 };
 
 struct CatalogSearchResult {
@@ -272,13 +272,16 @@ double CatalogEntryBound(const GraphSignature& query,
 // Read-only random access to a corpus of catalog entries: the search
 // core below is written against this interface so the in-memory
 // GraphCatalog and the mmap-backed sharded store (core/sharded_store.h)
-// share one pruning/threshold/fan-out implementation.
+// share one pruning/threshold/worker implementation.
 //
-// width() and signature() are called from the coordinating thread
-// only; name() and graph() are called concurrently from pool workers —
-// name() must be a plain const read and graph() must synchronize any
-// lazy materialization internally (the sharded store uses a per-entry
-// once-flag).
+// width() and signature() are called from the calling thread or from
+// the search's workers, never concurrently within one search: its lock
+// serializes them.
+// name() and graph() are called concurrently from the workers — name()
+// must be a plain const read and graph() must synchronize any lazy
+// materialization internally (the sharded store uses a per-entry
+// once-flag). Separate searches over one view make all of these calls
+// concurrently with each other.
 class CatalogEntryView {
  public:
   virtual ~CatalogEntryView() = default;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <vector>
 
@@ -54,6 +58,26 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
   }
   EXPECT_EQ(counter.load(), 50);
 }
+
+#if defined(__linux__)
+TEST(ParallelForTest, WorkersKeepTheCallersAffinityMask) {
+  // Workers are moved onto their own CPUs, but must end up with the
+  // caller's mask, not pinned to one CPU.
+  cpu_set_t caller;
+  CPU_ZERO(&caller);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  std::vector<int> same(16, 0);
+  ThreadPool::ParallelForWithWorker(4, same.size(), [&](size_t, size_t i) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    same[i] = sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
+              CPU_EQUAL(&mask, &caller);
+  });
+  for (size_t i = 0; i < same.size(); ++i) {
+    EXPECT_EQ(same[i], 1) << "index " << i;
+  }
+}
+#endif
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> visits(1000);

@@ -60,14 +60,18 @@ GraphCatalog DegenerateMixedCatalog(uint64_t seed, size_t entries) {
 
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, const char* what) {
-  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << what;
+  const std::string context = std::string(what) + " (base " +
+                              base.stats.ToString() + "; other " +
+                              other.stats.ToString() + ")";
+  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << context;
   for (size_t i = 0; i < base.ranked.size(); ++i) {
-    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry) << what << " #" << i;
+    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry)
+        << context << " #" << i;
     EXPECT_EQ(std::bit_cast<uint64_t>(other.ranked[i].ranking_key),
               std::bit_cast<uint64_t>(base.ranked[i].ranking_key))
-        << what << " #" << i;
+        << context << " #" << i;
     EXPECT_EQ(other.ranked[i].match.pairs, base.ranked[i].match.pairs)
-        << what << " #" << i;
+        << context << " #" << i;
   }
 }
 

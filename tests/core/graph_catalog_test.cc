@@ -52,20 +52,25 @@ GraphCatalog MixedCatalog(uint64_t seed, size_t entries) {
 
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, const char* what) {
-  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << what;
+  const std::string context = std::string(what) + " (base " +
+                              base.stats.ToString() + "; other " +
+                              other.stats.ToString() + ")";
+  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << context;
   for (size_t i = 0; i < base.ranked.size(); ++i) {
-    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry) << what << " #" << i;
-    EXPECT_EQ(other.ranked[i].name, base.ranked[i].name) << what << " #" << i;
+    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry)
+        << context << " #" << i;
+    EXPECT_EQ(other.ranked[i].name, base.ranked[i].name)
+        << context << " #" << i;
     // Bit-identical, not approximately equal: each key comes from one
     // GraphMatch with fixed accumulation order, independent of pruning.
     EXPECT_EQ(std::bit_cast<uint64_t>(other.ranked[i].ranking_key),
               std::bit_cast<uint64_t>(base.ranked[i].ranking_key))
-        << what << " #" << i;
+        << context << " #" << i;
     EXPECT_EQ(std::bit_cast<uint64_t>(other.ranked[i].normalized_score),
               std::bit_cast<uint64_t>(base.ranked[i].normalized_score))
-        << what << " #" << i;
+        << context << " #" << i;
     EXPECT_EQ(other.ranked[i].match.pairs, base.ranked[i].match.pairs)
-        << what << " #" << i;
+        << context << " #" << i;
   }
 }
 
@@ -438,10 +443,10 @@ TEST(GraphCatalogTest, KLargerThanCatalogReturnsAllCompatible) {
   EXPECT_EQ(result->stats.entries_pruned, 0u);  // never k completed entries
 }
 
-TEST(GraphCatalogTest, SequentialFallbackIsIdenticalToForcedFanOut) {
-  // With fewer surviving candidates than min_parallel_entries the
-  // search must not spin up the pool — and must return exactly what a
-  // forced fan-out (min_parallel_entries = 0) returns.
+TEST(GraphCatalogTest, FewCandidatesAtEightThreadsMatchTheSerialRanking) {
+  // Four compatible entries, k = 3, eight threads: more threads than
+  // candidates, and more candidates than k. The search must return
+  // exactly the serial ranking.
   GraphCatalog catalog = MixedCatalog(19, 6);
   DependencyGraph query = RandomGraph(5, 191);
   CatalogSearchOptions options;
@@ -449,20 +454,29 @@ TEST(GraphCatalogTest, SequentialFallbackIsIdenticalToForcedFanOut) {
   options.match.cardinality = Cardinality::kOnto;
   options.match.metric = MetricKind::kMutualInfoNormal;
   options.num_threads = 8;
-  options.min_parallel_entries = 1000;  // always fall back to serial
-  auto fallback = SearchCatalog(query, catalog, options);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-
-  options.min_parallel_entries = 0;  // always fan out
-  auto fanned = SearchCatalog(query, catalog, options);
-  ASSERT_TRUE(fanned.ok()) << fanned.status();
-  ExpectSameRanking(*fallback, *fanned, "sequential fallback");
+  auto parallel = SearchCatalog(query, catalog, options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
 
   options.num_threads = 1;
-  options.min_parallel_entries = 8;
   auto serial = SearchCatalog(query, catalog, options);
   ASSERT_TRUE(serial.ok()) << serial.status();
-  ExpectSameRanking(*serial, *fallback, "serial baseline");
+  ExpectSameRanking(*serial, *parallel, "eight threads vs serial");
+}
+
+TEST(GraphCatalogTest, SearchStatsPrintOnOneLine) {
+  CatalogSearchStats stats;
+  stats.entries_total = 40;
+  stats.entries_incompatible = 4;
+  stats.entries_pruned = 33;
+  stats.entries_searched = 3;
+  stats.bound_evaluations = 36;
+  stats.cluster_bound_evaluations = 7;
+  EXPECT_EQ(stats.ToString(),
+            "total=40 incompatible=4 pruned=33 searched=3 bounds=36"
+            " cluster_bounds=7");
+  EXPECT_EQ(CatalogSearchStats().ToString(),
+            "total=0 incompatible=0 pruned=0 searched=0 bounds=0"
+            " cluster_bounds=0");
 }
 
 TEST(GraphCatalogTest, InsertInvalidatesTheTieredIndex) {

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "depmatch/graph/dependency_graph.h"
 #include "depmatch/graph/graph_io.h"
 #include "depmatch/match/graph_signature.h"
+#include "depmatch/match/metric.h"
 
 namespace depmatch {
 namespace {
@@ -51,15 +54,20 @@ GraphCatalog MixedCatalog(uint64_t seed, size_t entries) {
 
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, const char* what) {
-  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << what;
+  const std::string context = std::string(what) + " (base " +
+                              base.stats.ToString() + "; other " +
+                              other.stats.ToString() + ")";
+  ASSERT_EQ(other.ranked.size(), base.ranked.size()) << context;
   for (size_t i = 0; i < base.ranked.size(); ++i) {
-    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry) << what << " #" << i;
-    EXPECT_EQ(other.ranked[i].name, base.ranked[i].name) << what << " #" << i;
+    EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry)
+        << context << " #" << i;
+    EXPECT_EQ(other.ranked[i].name, base.ranked[i].name)
+        << context << " #" << i;
     EXPECT_EQ(std::bit_cast<uint64_t>(other.ranked[i].ranking_key),
               std::bit_cast<uint64_t>(base.ranked[i].ranking_key))
-        << what << " #" << i;
+        << context << " #" << i;
     EXPECT_EQ(other.ranked[i].match.pairs, base.ranked[i].match.pairs)
-        << what << " #" << i;
+        << context << " #" << i;
   }
 }
 
@@ -325,6 +333,70 @@ TEST(ShardedStoreTest, EverySegmentCorruptionIsDetected) {
     ASSERT_TRUE(graphio::WriteStringToFile(path, bytes).ok());
   }
   EXPECT_FALSE(StoreRejects(dir));
+}
+
+TEST(ShardedStoreTest, FailedSearchReportsTheSameEntryAtEveryThreadCount) {
+  GraphCatalog catalog = MixedCatalog(61, 200);
+  catalog.BuildIndex();
+  std::string dir = testing::TempDir() + "/sharded_failed_search";
+  ShardedStoreWriteOptions write;
+  write.entries_per_segment = 8;
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir, write).ok());
+  // One flipped byte per segment: every graph load fails its checksum,
+  // while the manifest (signatures, index) stays intact.
+  for (size_t segment = 0; segment < 25; ++segment) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/segment-%05zu.seg", segment);
+    std::string path = dir + name;
+    std::string bytes;
+    ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok()) << path;
+    char& byte = bytes[bytes.size() / 2];
+    byte = static_cast<char>(byte ^ 0x5A);
+    ASSERT_TRUE(graphio::WriteStringToFile(path, bytes).ok());
+  }
+
+  DependencyGraph query = RandomGraph(5, 6161);
+  CatalogSearchOptions options = DefaultSearch();
+  // A 1-thread search takes the highest-bound compatible entry first and
+  // fails on it; every other thread count and path must report the same.
+  const Metric metric(options.match.metric, options.match.alpha);
+  const GraphSignature query_signature(query);
+  size_t first = catalog.size();
+  double best = -std::numeric_limits<double>::infinity();
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    if (catalog.graph(e).size() < query.size()) continue;  // onto
+    double bound = CatalogEntryBound(query_signature, catalog.signature(e),
+                                     metric, options.match.cardinality);
+    if (bound > best) {
+      best = bound;
+      first = e;
+    }
+  }
+  ASSERT_LT(first, catalog.size());
+  const std::string prefix = "searching catalog entry " +
+                             std::to_string(first) + " ('" +
+                             catalog.name(first) + "'): ";
+
+  std::optional<Status> reference;
+  for (bool use_index : {true, false}) {
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      auto store = ShardedCatalogStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status();
+      options.use_index = use_index;
+      options.num_threads = threads;
+      auto result = SearchShardedCatalog(query, *store, options);
+      ASSERT_FALSE(result.ok()) << "index " << use_index << " threads "
+                                << threads;
+      EXPECT_EQ(result.status().message().rfind(prefix, 0), 0u)
+          << result.status();
+      if (!reference.has_value()) {
+        reference = result.status();
+        continue;
+      }
+      EXPECT_EQ(result.status().ToString(), reference->ToString())
+          << "index " << use_index << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace

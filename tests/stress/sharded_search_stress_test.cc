@@ -4,8 +4,8 @@
 // guarded by std::once_flags, so any number of searches may hit one
 // store concurrently — including the very first touches. Under the
 // `tsan` preset (ctest label `tsan_stress`) these tests drive 8 client
-// threads into a freshly opened store, each fanning its own search
-// across the pool, while asserting every thread sees the serial
+// threads into a freshly opened store, each running its own search on
+// several workers, while asserting every thread sees the serial
 // in-memory ranking bit-for-bit.
 
 #include <gtest/gtest.h>
@@ -46,16 +46,18 @@ DependencyGraph RandomGraph(size_t n, uint64_t seed) {
 
 void ExpectSameRanking(const CatalogSearchResult& base,
                        const CatalogSearchResult& other, size_t client) {
+  const std::string stats = " (serial " + base.stats.ToString() +
+                            "; client " + other.stats.ToString() + ")";
   ASSERT_EQ(other.ranked.size(), base.ranked.size())
-      << "ranking size diverged for client " << client;
+      << "ranking size diverged for client " << client << stats;
   for (size_t i = 0; i < base.ranked.size(); ++i) {
     EXPECT_EQ(other.ranked[i].entry, base.ranked[i].entry)
-        << "entry diverged for client " << client;
+        << "entry diverged for client " << client << stats;
     EXPECT_EQ(std::bit_cast<uint64_t>(other.ranked[i].ranking_key),
               std::bit_cast<uint64_t>(base.ranked[i].ranking_key))
-        << "key diverged for client " << client;
+        << "key diverged for client " << client << stats;
     EXPECT_EQ(other.ranked[i].match.pairs, base.ranked[i].match.pairs)
-        << "pairs diverged for client " << client;
+        << "pairs diverged for client " << client << stats;
   }
 }
 
@@ -96,8 +98,9 @@ TEST(ShardedSearchStressTest, EightConcurrentClientsOnAFreshStore) {
     ASSERT_TRUE(store.ok()) << store.status();
 
     CatalogSearchOptions client_options = options;
-    client_options.num_threads = 2;       // nested fan-out inside clients
-    client_options.min_parallel_entries = 0;
+    // Each client's search runs its own workers, so cold signatures and
+    // graphs also materialize from search workers.
+    client_options.num_threads = 4;
     std::vector<CatalogSearchResult> results(kClients);
     std::vector<Status> statuses(kClients);
     // Raw threads on purpose: the clients model independent processes

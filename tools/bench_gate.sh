@@ -29,7 +29,7 @@
 #   match_search   first 2 x new_min_ms    (cold, warm-cache search)
 #   pipeline       first 1 x cached_min_ms (end-to-end with StatCache)
 #   catalog        first 1 x prefilter_parallel_min_ms (top-k search)
-#   catalog_scale  first 3 x search_min_ms (10K/50K/100K-entry tiers)
+#   catalog_scale  first 3 x search_min_ms (1K/10K/100K-entry tiers)
 #   service        first 1 x serve_p99_ms  (1-client served search p99)
 #   incremental    first 1 x append_speedup_x (append-vs-rebuild ratio;
 #                  higher is better — gated with the `max` direction)
