@@ -32,7 +32,12 @@
 //   * EnsureMetadata() — called implicitly by SearchShardedCatalog() —
 //     verifies the section checksums, parses the entry table, names,
 //     segment table, and persisted tiered index, and validates every
-//     offset. O(corpus metadata), no graph bytes touched.
+//     offset. O(corpus metadata), no graph bytes touched. It is most
+//     of a cold query's cost: at 100K entries (a 128 MB manifest) it
+//     takes ~98 ms on a 4-vCPU Xeon VM, and two thirds of that (~65
+//     ms) is the CRC of the 111 MB signature heap. The other sections'
+//     CRCs take ~10 ms, the index parse ~16 ms, and the entry table
+//     ~6 ms.
 //   * signature(i) materializes one GraphSignature from the mapped
 //     signature heap on first use (GraphSignature::FromParts); with the
 //     tiered index pruning well, a query touches o(N) of them.

@@ -6,6 +6,7 @@
 // accumulation (std::reduce, atomic floating adds, OpenMP reductions).
 #include "depmatch/graph/graph_io.h"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 
@@ -15,21 +16,39 @@ namespace depmatch {
 namespace graphio {
 namespace {
 
-// Table-driven CRC-32, generated once at first use from the reflected
-// polynomial.
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-      }
-      entries[i] = crc;
+// Slice-by-16 tables for the reflected polynomial, built at compile
+// time. kCrcTables[0] is the classic bytewise table; kCrcTables[k][b]
+// is the CRC of byte b followed by k zero bytes, so one step folds 16
+// input bytes with 16 independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
     }
-    return entries;
-  }();
-  return table;
+    tables[0][i] = crc;
+  }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Little-endian 32-bit load assembled from bytes: no alignment or
+// aliasing assumption, and compilers fold it into one load on
+// little-endian targets.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
@@ -82,10 +101,26 @@ bool ReadF64(std::string_view bytes, size_t* cursor, double* value) {
 }
 
 uint32_t Crc32(std::string_view bytes) {
-  const uint32_t* table = CrcTable();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t remaining = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char c : bytes) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu];
+  for (; remaining >= 16; p += 16, remaining -= 16) {
+    uint32_t a = LoadLe32(p) ^ crc;
+    uint32_t b = LoadLe32(p + 4);
+    uint32_t c = LoadLe32(p + 8);
+    uint32_t d = LoadLe32(p + 12);
+    crc = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^
+          t[13][(a >> 16) & 0xFFu] ^ t[12][a >> 24] ^
+          t[11][b & 0xFFu] ^ t[10][(b >> 8) & 0xFFu] ^
+          t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^
+          t[7][c & 0xFFu] ^ t[6][(c >> 8) & 0xFFu] ^
+          t[5][(c >> 16) & 0xFFu] ^ t[4][c >> 24] ^
+          t[3][d & 0xFFu] ^ t[2][(d >> 8) & 0xFFu] ^
+          t[1][(d >> 16) & 0xFFu] ^ t[0][d >> 24];
+  }
+  for (; remaining > 0; ++p, --remaining) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -192,9 +227,17 @@ Result<DependencyGraph> DeserializeGraphBinary(std::string_view bytes) {
   if (!graphio::ReadU64(bytes, &cursor, &n64)) {
     return InvalidArgumentError("truncated graph blob (node count)");
   }
-  // Reject sizes whose matrix cannot possibly fit the blob, before
-  // allocating anything proportional to them.
-  if (n64 > (bytes.size() / 8) + 1) {
+  // Beyond magic, version, node count and checksum (20 bytes), each node
+  // holds at least an 8-byte name length and a row of n 8-byte cells, so
+  // 8·n·(n+1) <= size - 20. Reject any count that breaks this before
+  // allocating anything proportional to n², in a form that cannot
+  // overflow: n·(n+1) <= W  <=>  n <= W / (n+1).
+  constexpr size_t kFixedBytes = kMinBlobSize + 8;
+  uint64_t words = bytes.size() < kFixedBytes
+                       ? 0
+                       : (bytes.size() - kFixedBytes) / 8;
+  if (bytes.size() < kFixedBytes || n64 > words ||
+      n64 > words / (n64 + 1)) {
     return InvalidArgumentError(
         StrFormat("graph blob declares %llu nodes but holds %zu bytes",
                   static_cast<unsigned long long>(n64), bytes.size()));

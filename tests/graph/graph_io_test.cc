@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "depmatch/common/rng.h"
@@ -31,6 +32,31 @@ DependencyGraph RandomGraph(size_t n, uint64_t seed) {
   auto g = DependencyGraph::Create(std::move(names), std::move(m));
   EXPECT_TRUE(g.ok());
   return g.value();
+}
+
+// The classic bytewise table loop: the reference Crc32 must match bit
+// for bit, whatever kernel it uses.
+uint32_t ReferenceCrc32(std::string_view bytes) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : bytes) {
+    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next() & 0xFFu);
+  return bytes;
 }
 
 // Bitwise equality: the round trip must preserve the exact IEEE-754
@@ -155,6 +181,42 @@ TEST(GraphIoTest, Crc32MatchesKnownVector) {
   // The standard zlib/PNG CRC-32 check value.
   EXPECT_EQ(graphio::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(graphio::Crc32(""), 0x00000000u);
+}
+
+TEST(GraphIoTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0-300 covers the 16-byte main loop, its tail, and the
+  // seam between them; every start offset 0-15 covers each alignment.
+  std::string buffer = RandomBytes(300 + 16, 71);
+  std::string_view view = buffer;
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      std::string_view slice = view.substr(offset, length);
+      ASSERT_EQ(graphio::Crc32(slice), ReferenceCrc32(slice))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  std::string large = RandomBytes(size_t{1} << 20, 72);
+  EXPECT_EQ(graphio::Crc32(large), ReferenceCrc32(large));
+}
+
+TEST(GraphIoTest, NodeCountBeyondTheMatrixBytesIsRejectedBeforeAllocating) {
+  // A valid envelope with 4,097 zero-length names and no matrix cells:
+  // 8 bytes per node fit the 32,796-byte blob, but the 4097x4097 matrix
+  // (134 MB) cannot, so the count must be rejected before allocating.
+  constexpr uint64_t kNodes = 4097;
+  std::string blob = "DMG1";
+  graphio::AppendU32(&blob, 1);
+  graphio::AppendU64(&blob, kNodes);
+  for (uint64_t i = 0; i < kNodes; ++i) graphio::AppendU64(&blob, 0);
+  graphio::AppendU32(&blob, graphio::Crc32(blob));
+  ASSERT_EQ(blob.size(), 32796u);
+
+  auto result = DeserializeGraphBinary(blob);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("declares 4097 nodes"),
+            std::string::npos)
+      << result.status();
 }
 
 }  // namespace

@@ -426,6 +426,43 @@ TEST(ProtocolTest, BadEnumValuesUnderValidCrcAreRejected) {
   EXPECT_FALSE(DecodeResponse(Reseal(bad_status)).ok());
 }
 
+TEST(ProtocolTest, HostileGraphNodeCountUnderValidCrcsIsRejected) {
+  // An insert's graph payload whose DMG1 blob, under a valid blob CRC
+  // and a valid frame CRC, declares 4,097 zero-length names and no
+  // matrix cells. Decoding must fail on the count, before the 4097x4097
+  // matrix it declares (134 MB) is allocated.
+  Request request;
+  request.type = RequestType::kInsert;
+  request.request_id = 9;
+  request.insert.name = "hostile";
+  request.insert.payload = InsertPayload::kGraphBlob;
+  request.insert.graph = MakeWireGraph();
+  std::string frame = EncodeRequest(request);
+
+  // The graph blob is the body's last field: a u64 length, then the blob.
+  std::string blob = SerializeGraphBinary(request.insert.graph);
+  size_t blob_start = frame.size() - kFrameTrailerBytes - blob.size();
+  ASSERT_EQ(frame.substr(blob_start, blob.size()), blob);
+
+  constexpr uint64_t kNodes = 4097;
+  std::string hostile = "DMG1";
+  graphio::AppendU32(&hostile, 1);
+  graphio::AppendU64(&hostile, kNodes);
+  for (uint64_t i = 0; i < kNodes; ++i) graphio::AppendU64(&hostile, 0);
+  graphio::AppendU32(&hostile, graphio::Crc32(hostile));
+
+  std::string edited = frame.substr(0, blob_start - 8);
+  graphio::AppendU64(&edited, hostile.size());
+  edited += hostile;
+  edited.append(kFrameTrailerBytes, '\0');  // replaced by Reseal
+  auto decoded = DecodeRequest(Reseal(edited));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("declares 4097 nodes"),
+            std::string::npos)
+      << decoded.status();
+}
+
 TEST(ProtocolTest, TableCodecRoundTripsAndBoundsChecks) {
   Table table = MakeWireTable();
   std::string bytes;

@@ -2,7 +2,8 @@
 # One-shot correctness gate: format check, clang-tidy build,
 # depmatch_analyze (lock discipline + layering + determinism +
 # architecture staleness), UBSan test suite, ASan+TSan smoke runs of the
-# benches' --smoke correctness gates plus the tsan_stress test suite, and
+# benches' --smoke correctness gates plus the tsan_stress test suite (and,
+# under ASan, the graph/core/service decoder suites), and
 # the bench regression gate (fresh headlines vs every committed
 # BENCH_*.json).
 #
@@ -99,13 +100,20 @@ else
   # ---- 5. ASan+UBSan smoke ------------------------------------------------
   # depbench's smoke builds its own ASan+UBSan tree (.bench_build/) and
   # runs every workload's correctness gates, including serve_ingest's
-  # replay of each served response against the snapshot it names.
+  # replay of each served response against the snapshot it names. The
+  # decoder suites (graph_test: DMG1 and the CRC kernel; core_test: DMC1
+  # and DMS1; service_test: DMR1/DMP1 frames) run here too, because an
+  # over-read past a buffer's tail is caught by ASan, not by stage 4.
   note "ASan+UBSan smoke (preset: asan)"
   if cmake --preset asan >/dev/null \
       && cmake --build --preset asan -j "$JOBS" \
           --target bench_match_search bench_graph_build bench_pipeline \
           bench_catalog bench_catalog_scale bench_service \
           bench_incremental tsan_stress_test \
+          graph_test core_test service_test \
+      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/graph_test \
+      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/core_test \
+      && ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/service_test \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_match_search --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_pipeline --smoke \
       && ASAN_OPTIONS=detect_leaks=1 ./build-asan/bench/bench_catalog --smoke \
