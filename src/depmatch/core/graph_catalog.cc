@@ -420,8 +420,15 @@ class FrontierSearch {
   // compatible entry.
   void PushSubtree(size_t node) DEPMATCH_REQUIRES(mu_);
   // Pushes a subtree's children, or a leaf's compatible entries with
-  // their entry bounds.
+  // their entry bounds, stopping at an entry whose signature fails.
   void Expand(size_t node) DEPMATCH_REQUIRES(mu_);
+  // Entry `e`'s admissible bound, or nullopt when its signature cannot be
+  // read. That failure is recorded at the position the next entry would
+  // be taken, which stops the hand-out as a failed match does.
+  std::optional<double> EntryBound(size_t e) DEPMATCH_REQUIRES(mu_);
+  // Records entry `e`'s failure unless one taken earlier failed too, and
+  // wakes every waiter so the hand-out stops.
+  void Fail(size_t position, size_t e, Status status) DEPMATCH_REQUIRES(mu_);
   // No speculation past k: until k entries have completed the threshold
   // is -inf, and the first k entries taken are exactly the ones a 1-thread
   // search matches before it can prune anything. A worker takes nothing
@@ -482,9 +489,9 @@ FrontierSearch::FrontierSearch(const DependencyGraph& query,
     if (compatible_[e] == 0) continue;
     double bound = std::numeric_limits<double>::infinity();
     if (options_.use_prefilter) {
-      ++stats_.bound_evaluations;
-      bound = CatalogEntryBound(query_signature_, view_.signature(e), metric_,
-                                options_.match.cardinality);
+      std::optional<double> entry_bound = EntryBound(e);
+      if (!entry_bound.has_value()) break;
+      bound = *entry_bound;
     }
     entries.push_back({bound, true, e});
   }
@@ -511,11 +518,28 @@ void FrontierSearch::Expand(size_t node) {
   for (size_t i = span.begin; i < span.end; ++i) {
     size_t e = order[i];
     if (compatible_[e] == 0) continue;
-    ++stats_.bound_evaluations;
-    frontier_.push({CatalogEntryBound(query_signature_, view_.signature(e),
-                                      metric_, options_.match.cardinality),
-                    true, e});
+    std::optional<double> bound = EntryBound(e);
+    if (!bound.has_value()) return;
+    frontier_.push({*bound, true, e});
   }
+}
+
+std::optional<double> FrontierSearch::EntryBound(size_t e) {
+  ++stats_.bound_evaluations;
+  Result<const GraphSignature*> signature = view_.signature(e);
+  if (!signature.ok()) {
+    Fail(taken_, e, signature.status());
+    return std::nullopt;
+  }
+  return CatalogEntryBound(query_signature_, **signature, metric_,
+                           options_.match.cardinality);
+}
+
+void FrontierSearch::Fail(size_t position, size_t e, Status status) {
+  if (!failure_.has_value() || position < failure_->position) {
+    failure_ = Failure{position, e, std::move(status)};
+  }
+  entry_done_.notify_all();
 }
 
 bool FrontierSearch::MustWait() const {
@@ -531,7 +555,7 @@ Result<CatalogMatch> FrontierSearch::Match(size_t e) const {
   const double n = static_cast<double>(query_.size());
   CatalogMatch candidate;
   candidate.entry = e;
-  candidate.name = view_.name(e);
+  candidate.name = std::string(view_.name(e));
   candidate.match = *std::move(match);
   candidate.ranking_key = metric_.maximize() ? candidate.match.metric_value
                                              : -candidate.match.metric_value;
@@ -560,12 +584,12 @@ void FrontierSearch::Work() {
     lock.unlock();
     Result<CatalogMatch> match = Match(top.id);
     lock.lock();
-    if (match.ok()) {
-      top_k_.Submit(match->ranking_key);
-      ranked_.push_back(*std::move(match));
-    } else if (!failure_.has_value() || position < failure_->position) {
-      failure_ = Failure{position, top.id, match.status()};
+    if (!match.ok()) {
+      Fail(position, top.id, match.status());
+      continue;
     }
+    top_k_.Submit(match->ranking_key);
+    ranked_.push_back(*std::move(match));
     entry_done_.notify_all();
   }
 }
@@ -574,10 +598,11 @@ Result<CatalogSearchResult> FrontierSearch::TakeRanking() {
   std::lock_guard<std::mutex> lock(mu_);
   if (failure_.has_value()) {
     const Failure& failure = *failure_;
+    const std::string_view name = view_.name(failure.entry);
     return Status(failure.status.code(),
-                  StrFormat("searching catalog entry %zu ('%s'): %s",
-                            failure.entry, view_.name(failure.entry).c_str(),
-                            failure.status.message().c_str()));
+                  StrFormat("searching catalog entry %zu ('%.*s'): %s",
+                            failure.entry, static_cast<int>(name.size()),
+                            name.data(), failure.status.message().c_str()));
   }
   CatalogSearchResult out;
   out.stats = stats_;
@@ -628,11 +653,11 @@ class GraphCatalogView final : public CatalogEntryView {
   size_t width(size_t entry) const override {
     return catalog_.graph(entry).size();
   }
-  const std::string& name(size_t entry) const override {
+  std::string_view name(size_t entry) const override {
     return catalog_.name(entry);
   }
-  const GraphSignature& signature(size_t entry) const override {
-    return catalog_.signature(entry);
+  Result<const GraphSignature*> signature(size_t entry) const override {
+    return &catalog_.signature(entry);
   }
   Result<const DependencyGraph*> graph(size_t entry) const override {
     return &catalog_.graph(entry);

@@ -281,14 +281,22 @@ double CatalogEntryBound(const GraphSignature& query,
 // must be a plain const read and graph() must synchronize any lazy
 // materialization internally (the sharded store uses a per-entry
 // once-flag). Separate searches over one view make all of these calls
-// concurrently with each other.
+// concurrently with each other, so signature() must synchronize its own
+// lazy materialization too.
+//
+// signature() and graph() may fail: the sharded store checks each
+// signature's and each segment's checksum on first use. See
+// SearchCatalogView for how a search reports it.
 class CatalogEntryView {
  public:
   virtual ~CatalogEntryView() = default;
   virtual size_t count() const = 0;
   virtual size_t width(size_t entry) const = 0;
-  virtual const std::string& name(size_t entry) const = 0;
-  virtual const GraphSignature& signature(size_t entry) const = 0;
+  // Valid for the lifetime of the view.
+  virtual std::string_view name(size_t entry) const = 0;
+  // The entry's signature, materializing it if needed. The pointer must
+  // stay valid for the lifetime of the view.
+  virtual Result<const GraphSignature*> signature(size_t entry) const = 0;
   // The entry's dependency graph, materializing it if needed. The
   // pointer must stay valid for the lifetime of the view.
   virtual Result<const DependencyGraph*> graph(size_t entry) const = 0;
@@ -299,7 +307,14 @@ class CatalogEntryView {
 // incompatible with options.match.cardinality (one-to-one with a
 // different width, onto with a narrower entry) are skipped. Any
 // search-backend or materialization error aborts the whole call with
-// that entry's status.
+// that entry's status, prefixed "searching catalog entry N ('name'): ".
+// A failed graph() counts at the position its entry was taken, a failed
+// signature() at the position the next entry would be taken when the
+// search evaluates that entry's bound; the failure at the earliest
+// position wins, so the entry reported is the one a 1-thread search
+// reports whenever every search of the query reaches it. An entry the
+// search never reads (incompatible, or pruned with its subtree) cannot
+// fail it.
 Result<CatalogSearchResult> SearchCatalogView(const DependencyGraph& query,
                                               const CatalogEntryView& view,
                                               const CatalogTieredIndex* index,

@@ -31,13 +31,16 @@ namespace depmatch {
 namespace {
 
 constexpr char kManifestMagic[4] = {'D', 'M', 'S', '1'};
-constexpr uint32_t kShardedFormatVersion = 1;
+constexpr uint32_t kShardedFormatVersion = 2;
 
 // Fixed manifest header: magic + version + entry count + segment count
 // + kNumSections section descriptors (offset, length, crc) + header
 // CRC. Everything after it is section bodies, back to back with no
-// padding, so every manifest byte is covered by exactly one checksum
-// and the total length is fully determined by the header.
+// padding, so the total length is fully determined by the header. Every
+// manifest byte is covered by exactly one checksum: the header and four
+// sections by their own CRCs, the signature heap by the per-entry
+// signature CRCs in the entry table (its descriptor's CRC field is 0 and
+// unread), since the entries' signatures tile the heap exactly.
 enum SectionId : size_t {
   kEntryTable = 0,
   kNameHeap = 1,
@@ -52,8 +55,9 @@ constexpr size_t kManifestHeaderSize =
 static_assert(kManifestHeaderSize == 128, "header layout drifted");
 
 // Entry table record: name_off, name_len, width, segment, seg_offset,
-// blob_len, sig_off — all u64.
-constexpr size_t kEntryRecordSize = 7 * 8;
+// blob_len, sig_off (u64 each), then sig_crc (u32), the CRC-32 of the
+// entry's SignatureBytes(width) signature bytes at sig_off.
+constexpr size_t kEntryRecordSize = 7 * 8 + 4;
 // Segment table record: file size (u64) + whole-file CRC-32 (u32).
 constexpr size_t kSegmentRecordSize = 8 + 4;
 
@@ -148,6 +152,27 @@ class MappedFile {
   const char* data_ = nullptr;
   size_t size_ = 0;
   std::unique_ptr<std::string> owned_;
+};
+
+// A value materialized at most once, by whichever thread asks first:
+// that caller runs `make` under the flag, and every caller then gets the
+// same result, the value or the error. A flag and a pointer, zero until
+// first use, so per-entry arrays of cells stay small.
+template <typename T>
+class OnceCell {
+ public:
+  template <typename Make>
+  const Result<T>& GetOrInit(const Make& make) const {
+    std::call_once(once_, [&] {
+      result_ = std::make_unique<const Result<T>>(make());
+    });
+    return *result_;
+  }
+
+ private:
+  mutable std::once_flag once_;
+  mutable std::unique_ptr<const Result<T>> result_
+      DEPMATCH_GUARDED_BY_ONCE(once_);
 };
 
 void SerializeIndex(const CatalogTieredIndex& index, std::string* out) {
@@ -294,15 +319,7 @@ Status WriteShardedCatalog(const GraphCatalog& catalog, const std::string& dir,
     const GraphSignature& signature = catalog.signature(e);
     std::string blob = SerializeGraphBinary(catalog.graph(e));
 
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(name_heap.size()));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(name.size()));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(signature.size()));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(num_segments));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(segment.size()));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(blob.size()));
-    graphio::AppendU64(&entry_table, static_cast<uint64_t>(sig_heap.size()));
-
-    name_heap.append(name);
+    const size_t sig_off = sig_heap.size();
     for (size_t i = 0; i < signature.size(); ++i) {
       graphio::AppendF64(&sig_heap, signature.entropy(i));
     }
@@ -313,6 +330,19 @@ Status WriteShardedCatalog(const GraphCatalog& catalog, const std::string& dir,
         graphio::AppendF64(&sig_heap, row[j]);
       }
     }
+
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(name_heap.size()));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(name.size()));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(signature.size()));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(num_segments));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(segment.size()));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(blob.size()));
+    graphio::AppendU64(&entry_table, static_cast<uint64_t>(sig_off));
+    const std::string_view sig_bytes =
+        std::string_view(sig_heap).substr(sig_off);
+    graphio::AppendU32(&entry_table, graphio::Crc32(sig_bytes));
+
+    name_heap.append(name);
     segment.append(blob);
   }
   if (count > 0) {
@@ -332,11 +362,13 @@ Status WriteShardedCatalog(const GraphCatalog& catalog, const std::string& dir,
   const std::string* sections[kNumSections] = {
       &entry_table, &name_heap, &sig_heap, &index_section, &segment_table};
   uint64_t offset = kManifestHeaderSize;
-  for (const std::string* section : sections) {
+  for (size_t s = 0; s < kNumSections; ++s) {
     graphio::AppendU64(&manifest, offset);
-    graphio::AppendU64(&manifest, static_cast<uint64_t>(section->size()));
-    graphio::AppendU32(&manifest, graphio::Crc32(*section));
-    offset += section->size();
+    graphio::AppendU64(&manifest, static_cast<uint64_t>(sections[s]->size()));
+    // The per-entry CRCs cover the signature heap (see kEntryRecordSize).
+    graphio::AppendU32(&manifest,
+                       s == kSigHeap ? 0 : graphio::Crc32(*sections[s]));
+    offset += sections[s]->size();
   }
   // Header CRC over everything above — the descriptors are themselves
   // protected, so a flipped descriptor byte is caught at Open, before
@@ -362,10 +394,17 @@ struct ShardedCatalogStore::Impl {
     size_t seg_offset = 0;
     size_t blob_len = 0;
     size_t sig_off = 0;
+    uint32_t sig_crc = 0;
   };
   struct SegmentMeta {
     size_t file_size = 0;
     uint32_t crc = 0;
+  };
+  // One entry's lazy state: its signature, checksummed against sig_crc
+  // and then decoded, and its graph.
+  struct EntrySlot {
+    OnceCell<GraphSignature> signature;
+    OnceCell<DependencyGraph> graph;
   };
 
   std::string dir;
@@ -377,49 +416,31 @@ struct ShardedCatalogStore::Impl {
   mutable std::once_flag meta_once;
   mutable Status meta_status DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable std::vector<EntryMeta> entries DEPMATCH_GUARDED_BY_ONCE(meta_once);
-  mutable std::vector<std::string> names DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable std::vector<SegmentMeta> segments
       DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable CatalogTieredIndex tiered DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable bool has_tiered DEPMATCH_GUARDED_BY_ONCE(meta_once) = false;
-
-  // Lazy per-entry / per-segment state. The once-flags make concurrent
-  // materialization from pool workers safe; each guarded slot is
-  // written exactly once and read-only afterwards. The slot vectors are
-  // sized under meta_once (before any element writer can reach them)
-  // and filled element-wise under their own flag, hence the dual
-  // annotations.
-  mutable std::unique_ptr<std::once_flag[]> sig_once
+  // Allocated under meta_once, before any accessor can reach a cell.
+  mutable std::unique_ptr<EntrySlot[]> entry_slots
       DEPMATCH_GUARDED_BY_ONCE(meta_once);
-  mutable std::vector<GraphSignature> sigs
-      DEPMATCH_GUARDED_BY_ONCE(meta_once) DEPMATCH_GUARDED_BY_ONCE(sig_once);
-  mutable std::unique_ptr<std::once_flag[]> graph_once
+  // Each segment file, mapped and checksummed on first touch.
+  mutable std::unique_ptr<OnceCell<MappedFile>[]> segment_maps
       DEPMATCH_GUARDED_BY_ONCE(meta_once);
-  mutable std::vector<std::unique_ptr<DependencyGraph>> graphs
-      DEPMATCH_GUARDED_BY_ONCE(meta_once)
-          DEPMATCH_GUARDED_BY_ONCE(graph_once);
-  mutable std::vector<Status> graph_status
-      DEPMATCH_GUARDED_BY_ONCE(meta_once)
-          DEPMATCH_GUARDED_BY_ONCE(graph_once);
-  mutable std::unique_ptr<std::once_flag[]> segment_once
-      DEPMATCH_GUARDED_BY_ONCE(meta_once);
-  mutable std::vector<MappedFile> segment_maps
-      DEPMATCH_GUARDED_BY_ONCE(meta_once)
-          DEPMATCH_GUARDED_BY_ONCE(segment_once);
-  mutable std::vector<Status> segment_status
-      DEPMATCH_GUARDED_BY_ONCE(meta_once)
-          DEPMATCH_GUARDED_BY_ONCE(segment_once);
 
   std::string_view SectionView(size_t s) const {
     return manifest.view().substr(section[s].offset, section[s].length);
   }
 
   Status ParseMetadata() const DEPMATCH_REQUIRES_ONCE(meta_once);
-  Status EnsureSegment(size_t s) const;
+  const Result<MappedFile>& MapSegment(size_t s) const;
 };
 
 Status ShardedCatalogStore::Impl::ParseMetadata() const {
   for (size_t s = 0; s < kNumSections; ++s) {
+    // The signature heap is checked one entry at a time, on first use
+    // (ShardedCatalogStore::signature), so a query pays only for the
+    // signatures it reads.
+    if (s == kSigHeap) continue;
     uint32_t actual = graphio::Crc32(SectionView(s));
     if (actual != section[s].crc) {
       return InvalidArgumentError(StrFormat(
@@ -444,18 +465,22 @@ Status ShardedCatalogStore::Impl::ParseMetadata() const {
 
   std::string_view table = SectionView(kEntryTable);
   std::string_view heap = SectionView(kNameHeap);
-  size_t sig_length = section[kSigHeap].length;
+  const size_t sig_length = section[kSigHeap].length;
+  // The signatures must tile the heap in entry order, so that every heap
+  // byte lies under exactly one entry's sig_crc.
+  size_t sig_end = 0;
   cursor = 0;
   entries.reserve(entry_count);
-  names.reserve(entry_count);
   for (size_t e = 0; e < entry_count; ++e) {
-    uint64_t fields[7] = {0, 0, 0, 0, 0, 0, 0};
-    for (uint64_t& field : fields) {
-      if (!graphio::ReadU64(table, &cursor, &field)) {
-        return InvalidArgumentError("sharded store entry table truncated");
-      }
-    }
     EntryMeta meta;
+    uint64_t fields[7] = {0, 0, 0, 0, 0, 0, 0};
+    bool read = true;
+    for (uint64_t& field : fields) {
+      read = read && graphio::ReadU64(table, &cursor, &field);
+    }
+    if (!read || !graphio::ReadU32(table, &cursor, &meta.sig_crc)) {
+      return InvalidArgumentError("sharded store entry table truncated");
+    }
     meta.name_off = static_cast<size_t>(fields[0]);
     meta.name_len = static_cast<size_t>(fields[1]);
     meta.width = static_cast<size_t>(fields[2]);
@@ -473,10 +498,13 @@ Status ShardedCatalogStore::Impl::ParseMetadata() const {
           StrFormat("sharded store entry %zu width implausible", e));
     }
     size_t sig_bytes = SignatureBytes(meta.width);
-    if (sig_bytes > sig_length || meta.sig_off > sig_length - sig_bytes) {
+    if (meta.sig_off != sig_end || sig_bytes > sig_length - sig_end) {
       return InvalidArgumentError(StrFormat(
-          "sharded store entry %zu signature outside the signature heap", e));
+          "sharded store entry %zu signature does not tile the signature"
+          " heap (offset %zu, expected %zu)",
+          e, meta.sig_off, sig_end));
     }
+    sig_end += sig_bytes;
     if (meta.segment >= segment_count) {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu references segment %zu of %zu",
@@ -488,8 +516,13 @@ Status ShardedCatalogStore::Impl::ParseMetadata() const {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu blob outside its segment", e));
     }
-    names.emplace_back(heap.substr(meta.name_off, meta.name_len));
     entries.push_back(meta);
+  }
+  if (sig_end != sig_length) {
+    return InvalidArgumentError(
+        StrFormat("sharded store signature heap has %zu bytes past the last"
+                  " signature",
+                  sig_length - sig_end));
   }
 
   std::string_view index_bytes = SectionView(kIndexSection);
@@ -499,43 +532,32 @@ Status ShardedCatalogStore::Impl::ParseMetadata() const {
     has_tiered = true;
   }
 
-  sig_once = std::make_unique<std::once_flag[]>(entry_count);
-  sigs.resize(entry_count);
-  graph_once = std::make_unique<std::once_flag[]>(entry_count);
-  graphs.resize(entry_count);
-  graph_status.resize(entry_count);
-  segment_once = std::make_unique<std::once_flag[]>(segment_count);
-  segment_maps.resize(segment_count);
-  segment_status.resize(segment_count);
+  entry_slots = std::make_unique<EntrySlot[]>(entry_count);
+  segment_maps = std::make_unique<OnceCell<MappedFile>[]>(segment_count);
   return OkStatus();
 }
 
-Status ShardedCatalogStore::Impl::EnsureSegment(size_t s) const {
-  std::call_once(segment_once[s], [&] {
+const Result<MappedFile>& ShardedCatalogStore::Impl::MapSegment(
+    size_t s) const {
+  return segment_maps[s].GetOrInit([&]() -> Result<MappedFile> {
     std::string path = SegmentPath(dir, s);
     Result<MappedFile> mapped = MappedFile::Map(path);
-    if (!mapped.ok()) {
-      segment_status[s] = mapped.status();
-      return;
-    }
+    if (!mapped.ok()) return mapped.status();
     if (mapped->view().size() != segments[s].file_size) {
-      segment_status[s] = InvalidArgumentError(StrFormat(
+      return InvalidArgumentError(StrFormat(
           "sharded store segment %s holds %zu bytes, manifest records %zu:"
           " data truncated",
           path.c_str(), mapped->view().size(), segments[s].file_size));
-      return;
     }
     uint32_t actual = graphio::Crc32(mapped->view());
     if (actual != segments[s].crc) {
-      segment_status[s] = InvalidArgumentError(StrFormat(
+      return InvalidArgumentError(StrFormat(
           "sharded store segment %s checksum mismatch (stored %08x, computed"
           " %08x): data corrupted",
           path.c_str(), segments[s].crc, actual));
-      return;
     }
-    segment_maps[s] = std::move(mapped).value();
+    return mapped;
   });
-  return segment_status[s];
 }
 
 ShardedCatalogStore::ShardedCatalogStore(std::unique_ptr<Impl> impl)
@@ -636,33 +658,50 @@ Status ShardedCatalogStore::EnsureMetadata() const {
   return impl_->meta_status;
 }
 
-const std::string& ShardedCatalogStore::name(size_t entry) const {
-  return impl_->names[entry];
+std::string_view ShardedCatalogStore::name(size_t entry) const {
+  const Impl::EntryMeta& meta = impl_->entries[entry];
+  return impl_->SectionView(kNameHeap).substr(meta.name_off, meta.name_len);
 }
 
 size_t ShardedCatalogStore::width(size_t entry) const {
   return impl_->entries[entry].width;
 }
 
-const GraphSignature& ShardedCatalogStore::signature(size_t entry) const {
-  std::call_once(impl_->sig_once[entry], [&] {
-    const Impl::EntryMeta& meta = impl_->entries[entry];
-    std::string_view heap = impl_->SectionView(kSigHeap);
-    size_t cursor = meta.sig_off;
-    // Offsets were validated by ParseMetadata; decode straight through.
-    std::vector<double> entropies(meta.width);
-    for (double& value : entropies) {
-      graphio::ReadF64(heap, &cursor, &value);
-    }
-    size_t profile = meta.width > 0 ? meta.width - 1 : 0;
-    std::vector<double> desc(meta.width * profile);
-    for (double& value : desc) {
-      graphio::ReadF64(heap, &cursor, &value);
-    }
-    impl_->sigs[entry] =
-        GraphSignature::FromParts(std::move(entropies), std::move(desc));
-  });
-  return impl_->sigs[entry];
+Result<const GraphSignature*> ShardedCatalogStore::signature(
+    size_t entry) const {
+  DEPMATCH_RETURN_IF_ERROR(EnsureMetadata());
+  const Impl::EntrySlot& slot = impl_->entry_slots[entry];
+  const Result<GraphSignature>& cell =
+      slot.signature.GetOrInit([&]() -> Result<GraphSignature> {
+        const Impl::EntryMeta& meta = impl_->entries[entry];
+        // In bounds: ParseMetadata checked that the signatures tile the
+        // heap.
+        std::string_view bytes = impl_->SectionView(kSigHeap).substr(
+            meta.sig_off, SignatureBytes(meta.width));
+        uint32_t actual = graphio::Crc32(bytes);
+        if (actual != meta.sig_crc) {
+          std::string_view entry_name = name(entry);
+          return InvalidArgumentError(StrFormat(
+              "sharded store entry %zu ('%.*s') signature checksum mismatch"
+              " (stored %08x, computed %08x): data corrupted",
+              entry, static_cast<int>(entry_name.size()), entry_name.data(),
+              meta.sig_crc, actual));
+        }
+        size_t cursor = 0;
+        std::vector<double> entropies(meta.width);
+        for (double& value : entropies) {
+          graphio::ReadF64(bytes, &cursor, &value);
+        }
+        size_t profile = meta.width > 0 ? meta.width - 1 : 0;
+        std::vector<double> desc(meta.width * profile);
+        for (double& value : desc) {
+          graphio::ReadF64(bytes, &cursor, &value);
+        }
+        return GraphSignature::FromParts(std::move(entropies),
+                                         std::move(desc));
+      });
+  if (!cell.ok()) return cell.status();
+  return &*cell;
 }
 
 const CatalogTieredIndex* ShardedCatalogStore::index() const {
@@ -671,29 +710,24 @@ const CatalogTieredIndex* ShardedCatalogStore::index() const {
 
 Result<const DependencyGraph*> ShardedCatalogStore::graph(size_t entry) const {
   DEPMATCH_RETURN_IF_ERROR(EnsureMetadata());
-  std::call_once(impl_->graph_once[entry], [&] {
-    const Impl::EntryMeta& meta = impl_->entries[entry];
-    Status segment = impl_->EnsureSegment(meta.segment);
-    if (!segment.ok()) {
-      impl_->graph_status[entry] = segment;
-      return;
-    }
-    std::string_view blob = impl_->segment_maps[meta.segment].view().substr(
-        meta.seg_offset, meta.blob_len);
-    Result<DependencyGraph> graph = DeserializeGraphBinary(blob);
-    if (!graph.ok()) {
-      impl_->graph_status[entry] = Status(
-          graph.status().code(),
-          StrFormat("sharded store entry %zu ('%s'): %s", entry,
-                    impl_->names[entry].c_str(),
-                    graph.status().message().c_str()));
-      return;
-    }
-    impl_->graphs[entry] =
-        std::make_unique<DependencyGraph>(*std::move(graph));
-  });
-  DEPMATCH_RETURN_IF_ERROR(impl_->graph_status[entry]);
-  return static_cast<const DependencyGraph*>(impl_->graphs[entry].get());
+  const Impl::EntrySlot& slot = impl_->entry_slots[entry];
+  const Result<DependencyGraph>& cell =
+      slot.graph.GetOrInit([&]() -> Result<DependencyGraph> {
+        const Impl::EntryMeta& meta = impl_->entries[entry];
+        const Result<MappedFile>& segment = impl_->MapSegment(meta.segment);
+        if (!segment.ok()) return segment.status();
+        Result<DependencyGraph> graph = DeserializeGraphBinary(
+            segment->view().substr(meta.seg_offset, meta.blob_len));
+        if (graph.ok()) return graph;
+        std::string_view entry_name = name(entry);
+        return Status(
+            graph.status().code(),
+            StrFormat("sharded store entry %zu ('%.*s'): %s", entry,
+                      static_cast<int>(entry_name.size()), entry_name.data(),
+                      graph.status().message().c_str()));
+      });
+  if (!cell.ok()) return cell.status();
+  return &*cell;
 }
 
 namespace {
@@ -704,10 +738,10 @@ class ShardedStoreEntryView final : public CatalogEntryView {
       : store_(store) {}
   size_t count() const override { return store_.size(); }
   size_t width(size_t entry) const override { return store_.width(entry); }
-  const std::string& name(size_t entry) const override {
+  std::string_view name(size_t entry) const override {
     return store_.name(entry);
   }
-  const GraphSignature& signature(size_t entry) const override {
+  Result<const GraphSignature*> signature(size_t entry) const override {
     return store_.signature(entry);
   }
   Result<const DependencyGraph*> graph(size_t entry) const override {

@@ -12,39 +12,66 @@
 //   <dir>/MANIFEST.dms       fixed 128-byte header + five contiguous
 //                            sections (entry table, name heap,
 //                            signature heap, tiered index, segment
-//                            table), each with its own CRC-32 recorded
-//                            in the header's section descriptors
+//                            table); the header's section descriptors
+//                            carry a CRC-32 for each section but the
+//                            signature heap, which is checked per entry
 //   <dir>/segment-NNNNN.seg  concatenated DMG1 graph blobs for a
 //                            contiguous slice of entries, with a
 //                            whole-file CRC-32 in the segment table
+//
+// Format version 2. Each entry-table record is 60 bytes: name offset and
+// length in the name heap, width, segment, offset and length of the
+// graph blob in that segment, signature offset (u64 each), and the
+// CRC-32 of the entry's 8·width² signature bytes (u32). The signatures
+// tile the signature heap in entry order (each starts where the previous
+// one ends, and the last ends at the heap's end), so the per-entry CRCs
+// cover the heap byte for byte. Version 1, whose one CRC covered the
+// whole signature heap, is rejected at Open.
 //
 // All integers are fixed-width little-endian and all doubles raw
 // IEEE-754 bit patterns (graph/graph_io.h primitives), so a round trip
 // through the store reproduces graphs, signatures, and the tiered index
 // bit-identically. Sections are laid out back to back with no padding;
 // every byte of every file is covered by exactly one checksum, and any
-// single-byte corruption or truncation surfaces as InvalidArgument.
+// single-byte corruption or truncation surfaces as InvalidArgument by
+// the time every signature and graph has been read.
 //
 // Lazy lifecycle — the point of the format:
 //   * Open() memory-maps the manifest and verifies only the fixed-size
 //     header (magic, version, counts, section descriptor CRC): O(1)
 //     regardless of corpus size.
 //   * EnsureMetadata() — called implicitly by SearchShardedCatalog() —
-//     verifies the section checksums, parses the entry table, names,
-//     segment table, and persisted tiered index, and validates every
-//     offset. O(corpus metadata), no graph bytes touched. It is most
-//     of a cold query's cost: at 100K entries (a 128 MB manifest) it
-//     takes ~98 ms on a 4-vCPU Xeon VM, and two thirds of that (~65
-//     ms) is the CRC of the 111 MB signature heap. The other sections'
-//     CRCs take ~10 ms, the index parse ~16 ms, and the entry table
-//     ~6 ms.
-//   * signature(i) materializes one GraphSignature from the mapped
-//     signature heap on first use (GraphSignature::FromParts); with the
-//     tiered index pruning well, a query touches o(N) of them.
+//     verifies the CRCs of the entry table, name heap, index and segment
+//     table, parses the entry table, segment table and persisted tiered
+//     index, and validates every offset, including the signature tiling.
+//     It reads no signature and no graph bytes. Names stay in the mapped
+//     name heap; name(i) returns a view of them.
+//   * signature(i) checks the entry's signature CRC and materializes one
+//     GraphSignature from the mapped signature heap on first use
+//     (GraphSignature::FromParts); with the tiered index pruning well, a
+//     query touches o(N) of them.
 //   * graph(i) maps + CRC-checks its segment file on first touch, then
-//     deserializes just that entry's DMG1 blob. Both steps are guarded
-//     by std::once_flags, so concurrent searches over one store are
-//     safe (exercised by tests/stress/sharded_search_stress_test.cc).
+//     deserializes just that entry's DMG1 blob. Each entry's signature
+//     and graph, and each segment, are guarded by their own
+//     std::once_flag, so concurrent searches over one store are safe
+//     (exercised by tests/stress/sharded_search_stress_test.cc).
+//
+// What a cold query pays at 100K entries (a 128 MB manifest, 111 MB of
+// it signatures; 4-vCPU Xeon VM, median of 10 cold opens): ~29 ms of
+// EnsureMetadata, of which the section CRCs take ~8.6 ms (index 5.3,
+// entry table 3.0, name heap 0.4), the entry-table parse ~5 ms, the
+// index parse ~14.5 ms and the per-entry slots ~0.6 ms. The search then
+// checksums only the ~120 signatures its descent evaluates (~130 KB),
+// where a whole-heap CRC took ~56 ms of an ~87 ms EnsureMetadata.
+//
+// When corruption is reported: a flipped byte in the header, the entry
+// table, the name heap, the index or the segment table fails Open or
+// EnsureMetadata. A flipped byte in one entry's signature fails
+// signature(i) for that entry only, and a search reports it (as that
+// entry's failure) only if it evaluates the entry's bound; a query that
+// never reads the signature succeeds. A flipped segment byte fails
+// graph(i) for the entries of that segment. A walk over every
+// signature(i) and graph(i) finds every flipped byte.
 //
 // Search results over a store are bit-identical to loading the same
 // catalog monolithically and searching it: both run the shared
@@ -57,6 +84,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "depmatch/common/status.h"
 #include "depmatch/core/catalog_index.h"
@@ -94,17 +122,21 @@ class ShardedCatalogStore {
   size_t num_segments() const;
 
   // Verifies and parses the metadata sections on first call; idempotent
-  // and thread-safe (later calls return the cached status). All
-  // accessors below require a prior OK EnsureMetadata().
+  // and thread-safe (later calls return the cached status). name(),
+  // width() and index() require a prior OK EnsureMetadata(); signature()
+  // and graph() run it themselves.
   Status EnsureMetadata() const;
 
-  const std::string& name(size_t entry) const;
+  // A view into the mapped name heap, valid for the store's lifetime.
+  std::string_view name(size_t entry) const;
   // Node count of the entry's graph, from the entry table — no graph
   // load.
   size_t width(size_t entry) const;
-  // The entry's signature, materialized from the mapped signature heap
-  // on first use. Thread-safe.
-  const GraphSignature& signature(size_t entry) const;
+  // The entry's signature, checked against its CRC and materialized from
+  // the mapped signature heap on first use; a mismatch is an
+  // InvalidArgument naming the entry, returned on every later call too.
+  // Thread-safe; the pointer stays valid for the store's lifetime.
+  Result<const GraphSignature*> signature(size_t entry) const;
   // The persisted tiered index, or nullptr if the store was written
   // without one.
   const CatalogTieredIndex* index() const;

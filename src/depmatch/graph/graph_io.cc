@@ -195,14 +195,16 @@ Result<DependencyGraph> DeserializeGraphBinary(std::string_view bytes) {
     return InvalidArgumentError(
         StrFormat("graph blob too short (%zu bytes)", bytes.size()));
   }
-  // Verify the trailing checksum before trusting any field.
+  // Verify the trailing checksum before trusting any field. Every field
+  // is then read from the body before it, so none can reach into it.
   size_t crc_offset = bytes.size() - 4;
+  const std::string_view body = bytes.substr(0, crc_offset);
   uint32_t stored_crc = 0;
   size_t crc_cursor = crc_offset;
   if (!graphio::ReadU32(bytes, &crc_cursor, &stored_crc)) {
     return InvalidArgumentError("graph blob checksum unreadable");
   }
-  uint32_t actual_crc = graphio::Crc32(bytes.substr(0, crc_offset));
+  uint32_t actual_crc = graphio::Crc32(body);
   if (stored_crc != actual_crc) {
     return InvalidArgumentError(
         StrFormat("graph blob checksum mismatch (stored %08x, computed %08x):"
@@ -210,12 +212,12 @@ Result<DependencyGraph> DeserializeGraphBinary(std::string_view bytes) {
                   stored_crc, actual_crc));
   }
   size_t cursor = 0;
-  if (bytes.substr(0, 4) != std::string_view(kGraphMagic, 4)) {
+  if (body.substr(0, 4) != std::string_view(kGraphMagic, 4)) {
     return InvalidArgumentError("bad graph blob magic");
   }
   cursor = 4;
   uint32_t version = 0;
-  if (!graphio::ReadU32(bytes, &cursor, &version)) {
+  if (!graphio::ReadU32(body, &cursor, &version)) {
     return InvalidArgumentError("truncated graph blob (version)");
   }
   if (version != kGraphFormatVersion) {
@@ -224,7 +226,7 @@ Result<DependencyGraph> DeserializeGraphBinary(std::string_view bytes) {
                   version, kGraphFormatVersion));
   }
   uint64_t n64 = 0;
-  if (!graphio::ReadU64(bytes, &cursor, &n64)) {
+  if (!graphio::ReadU64(body, &cursor, &n64)) {
     return InvalidArgumentError("truncated graph blob (node count)");
   }
   // Beyond magic, version, node count and checksum (20 bytes), each node
@@ -247,29 +249,29 @@ Result<DependencyGraph> DeserializeGraphBinary(std::string_view bytes) {
   names.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     uint64_t length = 0;
-    if (!graphio::ReadU64(bytes, &cursor, &length)) {
+    if (!graphio::ReadU64(body, &cursor, &length)) {
       return InvalidArgumentError(
           StrFormat("truncated graph blob (name %zu length)", i));
     }
-    if (length > bytes.size() - cursor) {
+    if (length > body.size() - cursor) {
       return InvalidArgumentError(
           StrFormat("truncated graph blob (name %zu bytes)", i));
     }
-    names.emplace_back(bytes.substr(cursor, static_cast<size_t>(length)));
+    names.emplace_back(body.substr(cursor, static_cast<size_t>(length)));
     cursor += static_cast<size_t>(length);
   }
   std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
-      if (!graphio::ReadF64(bytes, &cursor, &matrix[i][j])) {
+      if (!graphio::ReadF64(body, &cursor, &matrix[i][j])) {
         return InvalidArgumentError(
             StrFormat("truncated graph blob (matrix cell %zu,%zu)", i, j));
       }
     }
   }
-  if (cursor != crc_offset) {
-    return InvalidArgumentError(
-        StrFormat("graph blob has %zu trailing bytes", crc_offset - cursor));
+  if (cursor != body.size()) {
+    return InvalidArgumentError(StrFormat("graph blob has %zu trailing bytes",
+                                          body.size() - cursor));
   }
   return DependencyGraph::Create(std::move(names), std::move(matrix));
 }

@@ -5,9 +5,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "depmatch/common/rng.h"
@@ -102,15 +104,57 @@ void ExpectSignaturesBitIdentical(const GraphSignature& a,
 
 // True iff the store at `dir` is rejected at some stage of its lazy
 // lifecycle: Open (header), EnsureMetadata (section checksums and
-// offset validation), or graph materialization (segment checksums).
+// offset validation), signature materialization (per-entry signature
+// checksums), or graph materialization (segment checksums).
 bool StoreRejects(const std::string& dir) {
   auto store = ShardedCatalogStore::Open(dir);
   if (!store.ok()) return true;
   if (!store->EnsureMetadata().ok()) return true;
   for (size_t e = 0; e < store->size(); ++e) {
+    if (!store->signature(e).ok()) return true;
     if (!store->graph(e).ok()) return true;
   }
   return false;
+}
+
+// Manifest byte offset of each entry's signature. Signatures are
+// contiguous in entry order, 8·w² bytes each, starting at the offset in
+// the signature heap's section descriptor (the third, at header byte 64).
+std::vector<size_t> SignatureOffsets(const std::string& manifest,
+                                     const GraphCatalog& catalog) {
+  size_t cursor = 64;
+  uint64_t offset = 0;
+  EXPECT_TRUE(graphio::ReadU64(manifest, &cursor, &offset));
+  std::vector<size_t> offsets;
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    const size_t width = catalog.graph(e).size();
+    offsets.push_back(static_cast<size_t>(offset));
+    offset += 8 * width * width;
+  }
+  return offsets;
+}
+
+// Overwrites bytes [at, at + 4) with `value`, little-endian.
+void PutU32(std::string* bytes, size_t at, uint32_t value) {
+  std::string le;
+  graphio::AppendU32(&le, value);
+  bytes->replace(at, 4, le);
+}
+
+// Flips the middle byte of the signature of every entry `corrupt` picks.
+void CorruptSignatures(const std::string& dir, const GraphCatalog& catalog,
+                       const std::function<bool(size_t)>& corrupt) {
+  const std::string path = dir + "/MANIFEST.dms";
+  std::string bytes;
+  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+  const std::vector<size_t> offsets = SignatureOffsets(bytes, catalog);
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    if (!corrupt(e)) continue;
+    const size_t width = catalog.graph(e).size();
+    char& byte = bytes[offsets[e] + 4 * width * width];
+    byte = static_cast<char>(byte ^ 0x5A);
+  }
+  ASSERT_TRUE(graphio::WriteStringToFile(path, bytes).ok());
 }
 
 CatalogSearchOptions DefaultSearch() {
@@ -146,7 +190,9 @@ TEST(ShardedStoreTest, RoundTripIsBitIdenticalIncludingTheIndex) {
   for (size_t e = 0; e < catalog.size(); ++e) {
     EXPECT_EQ(store->name(e), catalog.name(e));
     EXPECT_EQ(store->width(e), catalog.graph(e).size());
-    ExpectSignaturesBitIdentical(store->signature(e), catalog.signature(e));
+    auto signature = store->signature(e);
+    ASSERT_TRUE(signature.ok()) << signature.status();
+    ExpectSignaturesBitIdentical(**signature, catalog.signature(e));
     auto graph = store->graph(e);
     ASSERT_TRUE(graph.ok()) << graph.status();
     ExpectGraphsBitIdentical(**graph, catalog.graph(e));
@@ -397,6 +443,155 @@ TEST(ShardedStoreTest, FailedSearchReportsTheSameEntryAtEveryThreadCount) {
           << "index " << use_index << " threads " << threads;
     }
   }
+}
+
+TEST(ShardedStoreTest, CorruptSignaturesFailEachPathAlikeAtEveryThreadCount) {
+  GraphCatalog catalog = MixedCatalog(62, 120);
+  catalog.BuildIndex();
+  std::string dir = testing::TempDir() + "/sharded_corrupt_signatures";
+  ShardedStoreWriteOptions write;
+  write.entries_per_segment = 8;
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir, write).ok());
+  DependencyGraph query = RandomGraph(5, 6262);
+  // Every entry an onto search of a 5-wide query can read.
+  CorruptSignatures(dir, catalog, [&](size_t e) {
+    return catalog.graph(e).size() >= query.size();
+  });
+
+  CatalogSearchOptions options = DefaultSearch();
+  for (bool use_index : {true, false}) {
+    std::optional<Status> reference;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      auto store = ShardedCatalogStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status();
+      // The metadata reads no signature byte, so it stays intact.
+      ASSERT_TRUE(store->EnsureMetadata().ok());
+      options.use_index = use_index;
+      options.num_threads = threads;
+      auto result = SearchShardedCatalog(query, *store, options);
+      ASSERT_FALSE(result.ok()) << "index " << use_index << " threads "
+                                << threads;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(result.status().message().rfind("searching catalog entry ", 0),
+                0u)
+          << result.status();
+      EXPECT_NE(result.status().message().find("signature checksum mismatch"),
+                std::string::npos)
+          << result.status();
+      if (!reference.has_value()) {
+        reference = result.status();
+        continue;
+      }
+      EXPECT_EQ(result.status().ToString(), reference->ToString())
+          << "index " << use_index << " threads " << threads;
+    }
+    if (!use_index) {
+      // The flat pass evaluates bounds in entry order, so it fails on the
+      // first compatible entry: entry 1, the first of width 5.
+      ASSERT_TRUE(reference.has_value());
+      EXPECT_EQ(reference->message().rfind(
+                    "searching catalog entry 1 ('entry1'): sharded store entry "
+                    "1 ('entry1') signature checksum mismatch",
+                    0),
+                0u)
+          << *reference;
+    }
+  }
+}
+
+TEST(ShardedStoreTest, CorruptSignatureNoSearchReadsFailsOnlyAFullWalk) {
+  GraphCatalog catalog = MixedCatalog(63, 30);
+  catalog.BuildIndex();
+  std::string dir = testing::TempDir() + "/sharded_corrupt_unread_signature";
+  ShardedStoreWriteOptions write;
+  write.entries_per_segment = 4;
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir, write).ok());
+  // Entry 0 is 4 wide: an onto search of a 5-wide query never reads it.
+  DependencyGraph query = RandomGraph(5, 6363);
+  ASSERT_LT(catalog.graph(0).size(), query.size());
+  CorruptSignatures(dir, catalog, [](size_t e) { return e == 0; });
+
+  CatalogSearchOptions options = DefaultSearch();
+  for (bool use_index : {true, false}) {
+    options.use_index = use_index;
+    options.num_threads = 1;
+    auto mem = SearchCatalog(query, catalog, options);
+    ASSERT_TRUE(mem.ok()) << mem.status();
+    for (size_t threads : {1u, 4u}) {
+      auto store = ShardedCatalogStore::Open(dir);
+      ASSERT_TRUE(store.ok()) << store.status();
+      options.num_threads = threads;
+      auto sharded = SearchShardedCatalog(query, *store, options);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
+      ExpectSameRanking(*mem, *sharded,
+                        use_index ? "tiered search" : "flat search");
+    }
+  }
+
+  // A walk over every signature still finds the flipped byte.
+  EXPECT_TRUE(StoreRejects(dir));
+  auto store = ShardedCatalogStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto signature = store->signature(0);
+  ASSERT_FALSE(signature.ok());
+  EXPECT_EQ(signature.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(signature.status().message().rfind(
+                "sharded store entry 0 ('entry0') signature checksum mismatch",
+                0),
+            0u)
+      << signature.status();
+  // The failure is cached, and the other entries stay readable.
+  EXPECT_EQ(store->signature(0).status().ToString(),
+            signature.status().ToString());
+  EXPECT_TRUE(store->signature(1).ok());
+}
+
+TEST(ShardedStoreTest, SignaturesMustTileTheHeap) {
+  GraphCatalog catalog = MixedCatalog(73, 3);
+  std::string dir = testing::TempDir() + "/sharded_signature_overlap";
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir).ok());
+  const std::string path = dir + "/MANIFEST.dms";
+  std::string bytes;
+  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+  // Entry 1's signature offset (record bytes 48-55; 60-byte records from
+  // byte 128) set to entry 0's, with the entry-table CRC (descriptor 0,
+  // bytes 40-43) and the header CRC (bytes 124-127) resealed: every
+  // checksum holds, but entry 1 would read entry 0's bytes and leave its
+  // own unchecked.
+  bytes.replace(128 + 60 + 48, 8, bytes.substr(128 + 48, 8));
+  PutU32(&bytes, 40,
+         graphio::Crc32(std::string_view(bytes).substr(128, 3 * 60)));
+  PutU32(&bytes, 124, graphio::Crc32(std::string_view(bytes).substr(0, 124)));
+  ASSERT_TRUE(graphio::WriteStringToFile(path, bytes).ok());
+
+  auto store = ShardedCatalogStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status();
+  Status metadata = store->EnsureMetadata();
+  ASSERT_FALSE(metadata.ok());
+  EXPECT_EQ(metadata.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(metadata.message().find("entry 1 signature does not tile"),
+            std::string::npos)
+      << metadata;
+}
+
+TEST(ShardedStoreTest, OpenRejectsFormatVersionOne) {
+  GraphCatalog catalog = MixedCatalog(72, 3);
+  std::string dir = testing::TempDir() + "/sharded_version_one";
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir).ok());
+  const std::string path = dir + "/MANIFEST.dms";
+  std::string bytes;
+  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
+  // Version field (bytes 4-7) set to 1, header CRC (bytes 124-127)
+  // resealed over bytes 0-123, so only the version can reject it.
+  PutU32(&bytes, 4, 1);
+  PutU32(&bytes, 124, graphio::Crc32(std::string_view(bytes).substr(0, 124)));
+  ASSERT_TRUE(graphio::WriteStringToFile(path, bytes).ok());
+
+  auto store = ShardedCatalogStore::Open(dir);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.status().message(),
+            "unsupported sharded store format version 1 (expected 2)");
 }
 
 }  // namespace

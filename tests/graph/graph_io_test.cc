@@ -219,5 +219,24 @@ TEST(GraphIoTest, NodeCountBeyondTheMatrixBytesIsRejectedBeforeAllocating) {
       << result.status();
 }
 
+TEST(GraphIoTest, NoFieldIsReadFromTheChecksum) {
+  // One node with an 8-byte name, then only 4 of its matrix cell's 8
+  // bytes before a valid checksum: the cell must not borrow the CRC's 4.
+  std::string blob = "DMG1";
+  graphio::AppendU32(&blob, 1);
+  graphio::AppendU64(&blob, 1);
+  graphio::AppendU64(&blob, 8);
+  blob.append("column_a");
+  blob.append(4, '\0');
+  graphio::AppendU32(&blob, graphio::Crc32(blob));
+  ASSERT_EQ(blob.size(), 40u);
+
+  auto result = DeserializeGraphBinary(blob);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message().rfind("truncated graph blob", 0), 0u)
+      << result.status();
+}
+
 }  // namespace
 }  // namespace depmatch

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "depmatch/common/rng.h"
@@ -75,11 +76,11 @@ class OverlapRecordingView final : public CatalogEntryView {
   size_t width(size_t entry) const override {
     return catalog_.graph(entry).size();
   }
-  const std::string& name(size_t entry) const override {
+  std::string_view name(size_t entry) const override {
     return catalog_.name(entry);
   }
-  const GraphSignature& signature(size_t entry) const override {
-    return catalog_.signature(entry);
+  Result<const GraphSignature*> signature(size_t entry) const override {
+    return &catalog_.signature(entry);
   }
   Result<const DependencyGraph*> graph(size_t entry) const override {
     std::unique_lock<std::mutex> lock(mu_);
