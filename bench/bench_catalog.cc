@@ -15,8 +15,8 @@
 // for entry and bit-for-bit in every ranking key — the prefilter and the
 // parallel fan-out are required to be unobservable in the results. The
 // run also reports the prefilter's prune rate and the cold
-// (Table2DepGraph per table) versus warm (GraphCatalog::Load of the
-// serialized store) catalog construction time.
+// (Table2DepGraph per table) versus warm (ReadShardedCatalog of the
+// sharded store WriteShardedCatalog wrote) catalog construction time.
 //
 // The corpus mirrors the catalog-search use case: a few entries drawn
 // from the query's own generating distribution (different seeds, same
@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -44,9 +45,9 @@
 #include "depmatch/common/logging.h"
 #include "depmatch/common/string_util.h"
 #include "depmatch/core/graph_catalog.h"
+#include "depmatch/core/sharded_store.h"
 #include "depmatch/datagen/bayes_net.h"
 #include "depmatch/graph/graph_builder.h"
-#include "depmatch/graph/graph_io.h"
 
 namespace depmatch {
 namespace {
@@ -238,24 +239,29 @@ int Run(bool smoke, const std::string& output_path) {
               corpus.catalog.size(), corpus.query.size(),
               corpus.cold_build_ms);
 
-  // Persistence: save once, then time the warm load of the whole store.
-  std::string store_path =
+  // Persistence: write the store once, then time reading the whole
+  // catalog back from it.
+  const std::string store_dir =
       (output_path.empty() ? std::string("bench_catalog_store")
                            : output_path) +
-      ".dmc";
-  Status saved = corpus.catalog.Save(store_path);
-  DEPMATCH_CHECK(saved.ok());
-  std::string store_bytes;
-  DEPMATCH_CHECK(graphio::ReadFileToString(store_path, &store_bytes).ok());
+      ".store";
+  DEPMATCH_CHECK(WriteShardedCatalog(corpus.catalog, store_dir).ok());
+  size_t store_bytes = 0;
+  for (const std::filesystem::directory_entry& file :
+       std::filesystem::directory_iterator(store_dir)) {
+    store_bytes += static_cast<size_t>(file.file_size());
+  }
   double warm_load_ms = 1e300;
   for (size_t rep = 0; rep < reps; ++rep) {
     warm_load_ms = std::min(warm_load_ms, TimeMs([&] {
-      Result<GraphCatalog> loaded = GraphCatalog::Load(store_path);
+      Result<GraphCatalog> loaded = ReadShardedCatalog(store_dir);
       DEPMATCH_CHECK(loaded.ok());
       DEPMATCH_CHECK(loaded->size() == corpus.catalog.size());
     }));
   }
-  std::remove(store_path.c_str());
+  Result<ShardedCatalogStore> store = ShardedCatalogStore::Open(store_dir);
+  DEPMATCH_CHECK(store.ok());
+  benchutil::RemoveStore(store_dir, store->num_segments());
 
   // Correctness gate: all three modes must return the identical top-k.
   size_t fanout_threads =
@@ -335,7 +341,7 @@ int Run(bool smoke, const std::string& output_path) {
     std::fprintf(out, "    \"k\": 3\n");
     std::fprintf(out, "  },\n");
     std::fprintf(out, "  \"store\": {\n");
-    std::fprintf(out, "    \"file_bytes\": %zu,\n", store_bytes.size());
+    std::fprintf(out, "    \"file_bytes\": %zu,\n", store_bytes);
     std::fprintf(out, "    \"cold_build_ms\": %.3f,\n", corpus.cold_build_ms);
     std::fprintf(out, "    \"warm_load_ms\": %.3f\n", warm_load_ms);
     std::fprintf(out, "  },\n");

@@ -7,12 +7,11 @@
 //
 //   build        generate + insert every entry (signatures computed)
 //   index        CatalogTieredIndex construction
-//   save         sharded store write and monolithic DMC1 save
-//   load         monolithic DMC1 load (O(corpus): deserializes every
-//                graph) versus ShardedCatalogStore::Open (O(1): maps
-//                the manifest and verifies the fixed-size header) and
-//                the first query on a fresh store (which pays the lazy
-//                metadata + signature materialization)
+//   save         sharded store write
+//   load         ShardedCatalogStore::Open (O(1): maps the manifest and
+//                verifies the fixed-size header) and the first query on
+//                a fresh store (which pays the lazy metadata + signature
+//                materialization)
 //   search       warm tiered+sharded top-k latency (p50/p99/min over
 //                repetitions) with prune rate and bound-evaluation
 //                counts, against the flat prefilter's O(corpus) bound
@@ -27,8 +26,7 @@
 // The scaling claims to look for in BENCH_catalog_scale.json:
 //   * per-query bound evaluations grow sublinearly in corpus size
 //     (tiered) while the flat pass grows linearly, and
-//   * sharded open time stays flat across corpus sizes while the
-//     monolithic load grows linearly.
+//   * sharded open time stays flat across corpus sizes.
 //
 //   DEPMATCH_BENCH_REPS  search repetitions per size (default 9)
 //   --smoke              tiny corpora, no JSON unless a path is given
@@ -118,21 +116,11 @@ bool SameRanking(const CatalogSearchResult& a, const CatalogSearchResult& b) {
   return true;
 }
 
-void RemoveStore(const std::string& dir, size_t num_segments) {
-  for (size_t s = 0; s < num_segments; ++s) {
-    std::remove(StrFormat("%s/segment-%05zu.seg", dir.c_str(), s).c_str());
-  }
-  std::remove((dir + "/MANIFEST.dms").c_str());
-  ::rmdir(dir.c_str());
-}
-
 struct SizeReport {
   size_t entries = 0;
   double build_ms = 0.0;
   double index_ms = 0.0;
   double sharded_write_ms = 0.0;
-  double monolith_save_ms = 0.0;
-  double monolith_load_ms = 0.0;
   double sharded_open_ms = 0.0;
   double first_query_ms = 0.0;
   double p50_ms = 0.0;
@@ -163,21 +151,11 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
   });
   report.index_ms = TimeMs([&] { catalog.BuildIndex(); });
 
-  // Persistence: sharded write vs the monolithic DMC1 round trip.
   const std::string store_dir =
       StrFormat("bench_catalog_scale_store_%d_%zu", getpid(), entries);
   report.sharded_write_ms = TimeMs([&] {
     DEPMATCH_CHECK(WriteShardedCatalog(catalog, store_dir).ok());
   });
-  const std::string monolith_path = store_dir + ".dmc";
-  report.monolith_save_ms =
-      TimeMs([&] { DEPMATCH_CHECK(catalog.Save(monolith_path).ok()); });
-  report.monolith_load_ms = TimeMs([&] {
-    Result<GraphCatalog> loaded = GraphCatalog::Load(monolith_path);
-    DEPMATCH_CHECK(loaded.ok());
-    DEPMATCH_CHECK(loaded->size() == entries);
-  });
-  std::remove(monolith_path.c_str());
 
   // Open cost: manifest map + header verification only, so this should
   // not move across corpus sizes.
@@ -246,7 +224,7 @@ SizeReport RunSize(size_t entries, size_t reps, bool smoke) {
   report.p99_ms = Percentile(latencies, 99.0);
   report.min_ms = *std::min_element(latencies.begin(), latencies.end());
 
-  RemoveStore(store_dir, store.num_segments());
+  benchutil::RemoveStore(store_dir, store.num_segments());
   return report;
 }
 
@@ -276,15 +254,13 @@ int Run(bool smoke, const std::string& output_path) {
                        : 0.0;
     std::printf(
         "N=%-7zu build %8.1f ms  index %7.1f ms  shard write %8.1f ms\n"
-        "          monolith save %8.1f ms / load %8.1f ms  sharded open "
-        "%.3f ms  first query %8.2f ms\n"
+        "          sharded open %.3f ms  first query %8.2f ms\n"
         "          search p50 %8.2f ms  p99 %8.2f ms  (threads %zu, "
         "searched %zu, prune rate %.1f%%)\n"
         "          bound evals: tiered %zu entry + %zu cluster vs flat %zu"
         "  identical %s%s\n",
         report.entries, report.build_ms, report.index_ms,
-        report.sharded_write_ms, report.monolith_save_ms,
-        report.monolith_load_ms, report.sharded_open_ms,
+        report.sharded_write_ms, report.sharded_open_ms,
         report.first_query_ms, report.p50_ms, report.p99_ms, report.threads,
         report.tiered_stats.entries_searched, prune_rate * 100.0,
         report.tiered_stats.bound_evaluations,
@@ -333,10 +309,6 @@ int Run(bool smoke, const std::string& output_path) {
       std::fprintf(out, "      \"index_build_ms\": %.3f,\n", r.index_ms);
       std::fprintf(out, "      \"sharded_write_ms\": %.3f,\n",
                    r.sharded_write_ms);
-      std::fprintf(out, "      \"monolith_save_ms\": %.3f,\n",
-                   r.monolith_save_ms);
-      std::fprintf(out, "      \"monolith_load_ms\": %.3f,\n",
-                   r.monolith_load_ms);
       std::fprintf(out, "      \"sharded_open_ms\": %.3f,\n",
                    r.sharded_open_ms);
       std::fprintf(out, "      \"first_query_ms\": %.3f,\n", r.first_query_ms);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <thread>
@@ -179,6 +180,14 @@ LatencySummary SummarizeLatencies(std::vector<double> samples) {
   summary.p50_ms = PercentileMs(samples, 50.0);
   summary.p99_ms = PercentileMs(samples, 99.0);
   return summary;
+}
+
+void RemoveStore(const std::string& dir, size_t num_segments) {
+  for (size_t s = 0; s < num_segments; ++s) {
+    std::remove(StrFormat("%s/segment-%05zu.seg", dir.c_str(), s).c_str());
+  }
+  std::remove((dir + "/MANIFEST.dms").c_str());
+  ::rmdir(dir.c_str());
 }
 
 const std::vector<MethodSpec>& StandardMethods() {

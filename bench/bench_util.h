@@ -116,6 +116,11 @@ struct LatencySummary {
 // Digest of `samples` (milliseconds). All fields 0 when empty.
 LatencySummary SummarizeLatencies(std::vector<double> samples);
 
+// Deletes a sharded store written by WriteShardedCatalog
+// (core/sharded_store.h): its `num_segments` segment files, its
+// manifest, and then the directory.
+void RemoveStore(const std::string& dir, size_t num_segments);
+
 }  // namespace benchutil
 }  // namespace depmatch
 

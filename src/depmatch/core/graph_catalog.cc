@@ -27,15 +27,9 @@
 #include "depmatch/common/string_util.h"
 #include "depmatch/common/thread_annotations.h"
 #include "depmatch/common/thread_pool.h"
-#include "depmatch/graph/graph_io.h"
 
 namespace depmatch {
 namespace {
-
-constexpr char kCatalogMagic[4] = {'D', 'M', 'C', '1'};
-constexpr uint32_t kCatalogFormatVersion = 1;
-// Magic + version + entry count + checksum.
-constexpr size_t kMinCatalogFileSize = 4 + 4 + 8 + 4;
 
 // Best achievable term of pairing source value `x` against any value of
 // the sorted-ascending array (best = max when the metric is maximized,
@@ -171,109 +165,6 @@ void GraphCatalog::BuildIndex(const CatalogIndexOptions& options) {
     signatures.push_back(&entry->signature);
   }
   index_.Reset(CatalogTieredIndex::Build(signatures, options));
-}
-
-Status GraphCatalog::Save(const std::string& path) const {
-  std::string out;
-  out.append(kCatalogMagic, sizeof(kCatalogMagic));
-  graphio::AppendU32(&out, kCatalogFormatVersion);
-  graphio::AppendU64(&out, static_cast<uint64_t>(entries_.size()));
-  for (const std::shared_ptr<const Entry>& entry : entries_) {
-    graphio::AppendU64(&out, static_cast<uint64_t>(entry->name.size()));
-    out.append(entry->name);
-    std::string blob = SerializeGraphBinary(entry->graph);
-    graphio::AppendU64(&out, static_cast<uint64_t>(blob.size()));
-    out.append(blob);
-  }
-  graphio::AppendU32(&out, graphio::Crc32(out));
-  return graphio::WriteStringToFile(path, out);
-}
-
-Result<GraphCatalog> GraphCatalog::Load(const std::string& path) {
-  std::string bytes;
-  DEPMATCH_RETURN_IF_ERROR(graphio::ReadFileToString(path, &bytes));
-  if (bytes.size() < kMinCatalogFileSize) {
-    return InvalidArgumentError(
-        StrFormat("catalog file %s too short (%zu bytes)", path.c_str(),
-                  bytes.size()));
-  }
-  size_t crc_offset = bytes.size() - 4;
-  uint32_t stored_crc = 0;
-  size_t crc_cursor = crc_offset;
-  if (!graphio::ReadU32(bytes, &crc_cursor, &stored_crc)) {
-    return InvalidArgumentError("catalog checksum unreadable");
-  }
-  uint32_t actual_crc =
-      graphio::Crc32(std::string_view(bytes).substr(0, crc_offset));
-  if (stored_crc != actual_crc) {
-    return InvalidArgumentError(
-        StrFormat("catalog file %s checksum mismatch (stored %08x, computed"
-                  " %08x): data corrupted or truncated",
-                  path.c_str(), stored_crc, actual_crc));
-  }
-  size_t cursor = 0;
-  if (std::string_view(bytes).substr(0, 4) !=
-      std::string_view(kCatalogMagic, 4)) {
-    return InvalidArgumentError(
-        StrFormat("%s is not a catalog file (bad magic)", path.c_str()));
-  }
-  cursor = 4;
-  uint32_t version = 0;
-  if (!graphio::ReadU32(bytes, &cursor, &version)) {
-    return InvalidArgumentError("truncated catalog file (version)");
-  }
-  if (version != kCatalogFormatVersion) {
-    return InvalidArgumentError(
-        StrFormat("unsupported catalog format version %u (expected %u)",
-                  version, kCatalogFormatVersion));
-  }
-  uint64_t count64 = 0;
-  if (!graphio::ReadU64(bytes, &cursor, &count64)) {
-    return InvalidArgumentError("truncated catalog file (entry count)");
-  }
-  // Every entry costs at least 16 bytes of lengths; reject counts the
-  // file cannot possibly hold before reserving anything.
-  if (count64 > bytes.size() / 16 + 1) {
-    return InvalidArgumentError(
-        StrFormat("catalog file declares %llu entries but holds %zu bytes",
-                  static_cast<unsigned long long>(count64), bytes.size()));
-  }
-  GraphCatalog catalog;
-  size_t count = static_cast<size_t>(count64);
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t name_length = 0;
-    if (!graphio::ReadU64(bytes, &cursor, &name_length) ||
-        name_length > bytes.size() - cursor) {
-      return InvalidArgumentError(
-          StrFormat("truncated catalog file (entry %zu name)", i));
-    }
-    std::string name(
-        std::string_view(bytes).substr(cursor,
-                                       static_cast<size_t>(name_length)));
-    cursor += static_cast<size_t>(name_length);
-    uint64_t blob_length = 0;
-    if (!graphio::ReadU64(bytes, &cursor, &blob_length) ||
-        blob_length > bytes.size() - cursor) {
-      return InvalidArgumentError(
-          StrFormat("truncated catalog file (entry %zu graph)", i));
-    }
-    Result<DependencyGraph> graph = DeserializeGraphBinary(
-        std::string_view(bytes).substr(cursor,
-                                       static_cast<size_t>(blob_length)));
-    if (!graph.ok()) {
-      return Status(graph.status().code(),
-                    StrFormat("catalog entry %zu ('%s'): %s", i, name.c_str(),
-                              graph.status().message().c_str()));
-    }
-    cursor += static_cast<size_t>(blob_length);
-    DEPMATCH_RETURN_IF_ERROR(
-        catalog.Insert(std::move(name), *std::move(graph)));
-  }
-  if (cursor != crc_offset) {
-    return InvalidArgumentError(
-        StrFormat("catalog file has %zu trailing bytes", crc_offset - cursor));
-  }
-  return catalog;
 }
 
 double CatalogEntryBound(const GraphSignature& query,

@@ -12,8 +12,9 @@
 //   * a catalog container holding named DependencyGraphs with compact
 //     per-entry node signatures (entropy vector + sorted off-diagonal
 //     MI profiles, match/graph_signature.h) precomputed at insert time;
-//   * versioned, checksummed binary persistence (graph/graph_io.h), so
-//     catalogs load from disk instead of re-running Table2DepGraph;
+//   * persistence as a checksummed sharded store (core/sharded_store.h:
+//     WriteShardedCatalog, ReadShardedCatalog), so catalogs load from
+//     disk instead of re-running Table2DepGraph;
 //   * an admissible prefilter: CatalogEntryBound() upper-bounds the
 //     best achievable ranking key of matching the query against an
 //     entry, from signatures alone — entries whose bound falls below
@@ -125,15 +126,6 @@ class GraphCatalog {
   void BuildIndex(const CatalogIndexOptions& options = {});
   // The built index, or nullptr if absent / invalidated by Insert.
   const CatalogTieredIndex* index() const { return index_.get(); }
-
-  // Versioned binary catalog file: a checksummed envelope of per-entry
-  // (name, graph blob) records, each blob itself checksummed
-  // (graph/graph_io.h). Load rebuilds signatures, so a loaded catalog
-  // is indistinguishable from one built by repeated Insert calls with
-  // bit-identical graphs. (For corpora where loading every graph up
-  // front is too expensive, see core/sharded_store.h.)
-  Status Save(const std::string& path) const;
-  static Result<GraphCatalog> Load(const std::string& path);
 
  private:
   struct Entry {

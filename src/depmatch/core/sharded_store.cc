@@ -3,7 +3,7 @@
 // signatures, graphs, and the tiered index must round-trip through this
 // file bit-exactly (raw IEEE-754 bit patterns, fixed-width
 // little-endian framing), and the lazy materialization below must hand
-// the shared search core the same doubles a monolithic load would. Do
+// the shared search core the same doubles the written catalog holds. Do
 // not introduce constructs that reorder double accumulation
 // (std::reduce, atomic floating adds, OpenMP reductions).
 #include "depmatch/core/sharded_store.h"
@@ -54,10 +54,20 @@ constexpr size_t kManifestHeaderSize =
     4 + 4 + 8 + 8 + kNumSections * kSectionDescriptorSize + 4;
 static_assert(kManifestHeaderSize == 128, "header layout drifted");
 
-// Entry table record: name_off, name_len, width, segment, seg_offset,
-// blob_len, sig_off (u64 each), then sig_crc (u32), the CRC-32 of the
-// entry's SignatureBytes(width) signature bytes at sig_off.
-constexpr size_t kEntryRecordSize = 7 * 8 + 4;
+// Entry table record: seven u64 fields in EntryField order, then
+// sig_crc (u32), the CRC-32 of the entry's SignatureBytes(width)
+// signature bytes at sig_off.
+enum EntryField : size_t {
+  kNameOff = 0,
+  kNameLen = 1,
+  kWidth = 2,
+  kSegment = 3,
+  kSegOffset = 4,
+  kBlobLen = 5,
+  kSigOff = 6,
+  kNumEntryFields = 7,
+};
+constexpr size_t kEntryRecordSize = kNumEntryFields * 8 + 4;
 // Segment table record: file size (u64) + whole-file CRC-32 (u32).
 constexpr size_t kSegmentRecordSize = 8 + 4;
 
@@ -74,6 +84,24 @@ std::string ManifestPath(const std::string& dir) {
 
 std::string SegmentPath(const std::string& dir, size_t segment) {
   return dir + StrFormat("/segment-%05zu.seg", segment);
+}
+
+// Little-endian decodes of bytes already known to be in bounds (the
+// entry table's length is checked at Open); GCC folds each into one load.
+uint64_t LoadU64(const char* p) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  return value;
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t value = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    value |= uint32_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  return value;
 }
 
 size_t SignatureBytes(size_t width) {
@@ -386,16 +414,6 @@ struct ShardedCatalogStore::Impl {
     size_t length = 0;
     uint32_t crc = 0;
   };
-  struct EntryMeta {
-    size_t name_off = 0;
-    size_t name_len = 0;
-    size_t width = 0;
-    size_t segment = 0;
-    size_t seg_offset = 0;
-    size_t blob_len = 0;
-    size_t sig_off = 0;
-    uint32_t sig_crc = 0;
-  };
   struct SegmentMeta {
     size_t file_size = 0;
     uint32_t crc = 0;
@@ -415,7 +433,6 @@ struct ShardedCatalogStore::Impl {
 
   mutable std::once_flag meta_once;
   mutable Status meta_status DEPMATCH_GUARDED_BY_ONCE(meta_once);
-  mutable std::vector<EntryMeta> entries DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable std::vector<SegmentMeta> segments
       DEPMATCH_GUARDED_BY_ONCE(meta_once);
   mutable CatalogTieredIndex tiered DEPMATCH_GUARDED_BY_ONCE(meta_once);
@@ -429,6 +446,18 @@ struct ShardedCatalogStore::Impl {
 
   std::string_view SectionView(size_t s) const {
     return manifest.view().substr(section[s].offset, section[s].length);
+  }
+  // Fields of entry e's record, decoded from the mapped entry table on
+  // each call; ParseMetadata validated every record once.
+  const char* Record(size_t e) const {
+    return manifest.view().data() + section[kEntryTable].offset +
+           e * kEntryRecordSize;
+  }
+  size_t Field(size_t e, EntryField field) const {
+    return static_cast<size_t>(LoadU64(Record(e) + 8 * field));
+  }
+  uint32_t SignatureCrc(size_t e) const {
+    return LoadU32(Record(e) + 8 * kNumEntryFields);
   }
 
   Status ParseMetadata() const DEPMATCH_REQUIRES_ONCE(meta_once);
@@ -463,60 +492,45 @@ Status ShardedCatalogStore::Impl::ParseMetadata() const {
     segments.push_back({static_cast<size_t>(file_size), crc});
   }
 
-  std::string_view table = SectionView(kEntryTable);
-  std::string_view heap = SectionView(kNameHeap);
+  const size_t heap_size = section[kNameHeap].length;
   const size_t sig_length = section[kSigHeap].length;
   // The signatures must tile the heap in entry order, so that every heap
   // byte lies under exactly one entry's sig_crc.
   size_t sig_end = 0;
-  cursor = 0;
-  entries.reserve(entry_count);
   for (size_t e = 0; e < entry_count; ++e) {
-    EntryMeta meta;
-    uint64_t fields[7] = {0, 0, 0, 0, 0, 0, 0};
-    bool read = true;
-    for (uint64_t& field : fields) {
-      read = read && graphio::ReadU64(table, &cursor, &field);
-    }
-    if (!read || !graphio::ReadU32(table, &cursor, &meta.sig_crc)) {
-      return InvalidArgumentError("sharded store entry table truncated");
-    }
-    meta.name_off = static_cast<size_t>(fields[0]);
-    meta.name_len = static_cast<size_t>(fields[1]);
-    meta.width = static_cast<size_t>(fields[2]);
-    meta.segment = static_cast<size_t>(fields[3]);
-    meta.seg_offset = static_cast<size_t>(fields[4]);
-    meta.blob_len = static_cast<size_t>(fields[5]);
-    meta.sig_off = static_cast<size_t>(fields[6]);
-    if (meta.name_len > heap.size() ||
-        meta.name_off > heap.size() - meta.name_len) {
+    const size_t name_off = Field(e, kNameOff);
+    const size_t name_len = Field(e, kNameLen);
+    if (name_len > heap_size || name_off > heap_size - name_len) {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu name outside the name heap", e));
     }
-    if (meta.width > kMaxEntryWidth) {
+    const size_t width = Field(e, kWidth);
+    if (width > kMaxEntryWidth) {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu width implausible", e));
     }
-    size_t sig_bytes = SignatureBytes(meta.width);
-    if (meta.sig_off != sig_end || sig_bytes > sig_length - sig_end) {
+    const size_t sig_off = Field(e, kSigOff);
+    const size_t sig_bytes = SignatureBytes(width);
+    if (sig_off != sig_end || sig_bytes > sig_length - sig_end) {
       return InvalidArgumentError(StrFormat(
           "sharded store entry %zu signature does not tile the signature"
           " heap (offset %zu, expected %zu)",
-          e, meta.sig_off, sig_end));
+          e, sig_off, sig_end));
     }
     sig_end += sig_bytes;
-    if (meta.segment >= segment_count) {
+    const size_t segment = Field(e, kSegment);
+    if (segment >= segment_count) {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu references segment %zu of %zu",
-                    e, meta.segment, segment_count));
+                    e, segment, segment_count));
     }
-    size_t file_size = segments[meta.segment].file_size;
-    if (meta.blob_len > file_size ||
-        meta.seg_offset > file_size - meta.blob_len) {
+    const size_t file_size = segments[segment].file_size;
+    const size_t seg_offset = Field(e, kSegOffset);
+    const size_t blob_len = Field(e, kBlobLen);
+    if (blob_len > file_size || seg_offset > file_size - blob_len) {
       return InvalidArgumentError(
           StrFormat("sharded store entry %zu blob outside its segment", e));
     }
-    entries.push_back(meta);
   }
   if (sig_end != sig_length) {
     return InvalidArgumentError(
@@ -659,12 +673,12 @@ Status ShardedCatalogStore::EnsureMetadata() const {
 }
 
 std::string_view ShardedCatalogStore::name(size_t entry) const {
-  const Impl::EntryMeta& meta = impl_->entries[entry];
-  return impl_->SectionView(kNameHeap).substr(meta.name_off, meta.name_len);
+  return impl_->SectionView(kNameHeap).substr(impl_->Field(entry, kNameOff),
+                                              impl_->Field(entry, kNameLen));
 }
 
 size_t ShardedCatalogStore::width(size_t entry) const {
-  return impl_->entries[entry].width;
+  return impl_->Field(entry, kWidth);
 }
 
 Result<const GraphSignature*> ShardedCatalogStore::signature(
@@ -673,27 +687,28 @@ Result<const GraphSignature*> ShardedCatalogStore::signature(
   const Impl::EntrySlot& slot = impl_->entry_slots[entry];
   const Result<GraphSignature>& cell =
       slot.signature.GetOrInit([&]() -> Result<GraphSignature> {
-        const Impl::EntryMeta& meta = impl_->entries[entry];
+        const size_t width = impl_->Field(entry, kWidth);
         // In bounds: ParseMetadata checked that the signatures tile the
         // heap.
         std::string_view bytes = impl_->SectionView(kSigHeap).substr(
-            meta.sig_off, SignatureBytes(meta.width));
+            impl_->Field(entry, kSigOff), SignatureBytes(width));
+        const uint32_t stored = impl_->SignatureCrc(entry);
         uint32_t actual = graphio::Crc32(bytes);
-        if (actual != meta.sig_crc) {
+        if (actual != stored) {
           std::string_view entry_name = name(entry);
           return InvalidArgumentError(StrFormat(
               "sharded store entry %zu ('%.*s') signature checksum mismatch"
               " (stored %08x, computed %08x): data corrupted",
               entry, static_cast<int>(entry_name.size()), entry_name.data(),
-              meta.sig_crc, actual));
+              stored, actual));
         }
         size_t cursor = 0;
-        std::vector<double> entropies(meta.width);
+        std::vector<double> entropies(width);
         for (double& value : entropies) {
           graphio::ReadF64(bytes, &cursor, &value);
         }
-        size_t profile = meta.width > 0 ? meta.width - 1 : 0;
-        std::vector<double> desc(meta.width * profile);
+        size_t profile = width > 0 ? width - 1 : 0;
+        std::vector<double> desc(width * profile);
         for (double& value : desc) {
           graphio::ReadF64(bytes, &cursor, &value);
         }
@@ -713,11 +728,12 @@ Result<const DependencyGraph*> ShardedCatalogStore::graph(size_t entry) const {
   const Impl::EntrySlot& slot = impl_->entry_slots[entry];
   const Result<DependencyGraph>& cell =
       slot.graph.GetOrInit([&]() -> Result<DependencyGraph> {
-        const Impl::EntryMeta& meta = impl_->entries[entry];
-        const Result<MappedFile>& segment = impl_->MapSegment(meta.segment);
+        const Result<MappedFile>& segment =
+            impl_->MapSegment(impl_->Field(entry, kSegment));
         if (!segment.ok()) return segment.status();
         Result<DependencyGraph> graph = DeserializeGraphBinary(
-            segment->view().substr(meta.seg_offset, meta.blob_len));
+            segment->view().substr(impl_->Field(entry, kSegOffset),
+                                   impl_->Field(entry, kBlobLen)));
         if (graph.ok()) return graph;
         std::string_view entry_name = name(entry);
         return Status(
@@ -728,6 +744,23 @@ Result<const DependencyGraph*> ShardedCatalogStore::graph(size_t entry) const {
       });
   if (!cell.ok()) return cell.status();
   return &*cell;
+}
+
+Result<GraphCatalog> ReadShardedCatalog(const std::string& dir) {
+  Result<ShardedCatalogStore> store = ShardedCatalogStore::Open(dir);
+  if (!store.ok()) return store.status();
+  DEPMATCH_RETURN_IF_ERROR(store->EnsureMetadata());
+  GraphCatalog catalog;
+  for (size_t e = 0; e < store->size(); ++e) {
+    // Read only to check the entry's signature CRC; Insert recomputes
+    // the signature from the graph.
+    DEPMATCH_RETURN_IF_ERROR(store->signature(e).status());
+    Result<const DependencyGraph*> graph = store->graph(e);
+    if (!graph.ok()) return graph.status();
+    DEPMATCH_RETURN_IF_ERROR(
+        catalog.Insert(std::string(store->name(e)), **graph));
+  }
+  return catalog;
 }
 
 namespace {

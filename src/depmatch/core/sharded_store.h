@@ -1,13 +1,14 @@
 // Copyright 2026 The DepMatch Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// ShardedCatalogStore: segmented, memory-mapped persistence for large
-// graph catalogs (ROADMAP item 1: corpora of 10^5+ tables).
+// ShardedCatalogStore: the on-disk form of a GraphCatalog — segmented,
+// memory-mapped persistence sized for corpora of 10^5+ tables.
 //
-// The monolithic DMC1 file (core/graph_catalog.h) deserializes every
-// graph at load, so opening a 100K-entry catalog costs O(corpus) even
-// when a query will touch a handful of entries. The sharded layout
-// splits the same content across a directory:
+// A catalog is written once (WriteShardedCatalog) and then either
+// searched in place, opening in O(1) and reading only what a query
+// touches (ShardedCatalogStore, SearchShardedCatalog), or read back
+// whole into a GraphCatalog (ReadShardedCatalog). The layout splits the
+// catalog across a directory:
 //
 //   <dir>/MANIFEST.dms       fixed 128-byte header + five contiguous
 //                            sections (entry table, name heap,
@@ -31,10 +32,16 @@
 // All integers are fixed-width little-endian and all doubles raw
 // IEEE-754 bit patterns (graph/graph_io.h primitives), so a round trip
 // through the store reproduces graphs, signatures, and the tiered index
-// bit-identically. Sections are laid out back to back with no padding;
-// every byte of every file is covered by exactly one checksum, and any
-// single-byte corruption or truncation surfaces as InvalidArgument by
-// the time every signature and graph has been read.
+// bit-identically. Sections are laid out back to back with no padding.
+// Every manifest byte is covered by exactly one checksum: the header
+// and four sections by their own CRCs, the signature heap by the
+// per-entry signature CRCs. Every segment byte is covered twice: by the
+// segment's whole-file CRC and by the DMG1 CRC of the blob it belongs to
+// (ROADMAP item 7(f) plans to drop the segment CRC). Any single-byte
+// corruption or truncation surfaces as InvalidArgument by the time every
+// signature and graph has been read. The files must not change while a
+// store is open: each entry-table record is validated once and then
+// decoded from the mapping on every access.
 //
 // Lazy lifecycle — the point of the format:
 //   * Open() memory-maps the manifest and verifies only the fixed-size
@@ -42,10 +49,12 @@
 //     regardless of corpus size.
 //   * EnsureMetadata() — called implicitly by SearchShardedCatalog() —
 //     verifies the CRCs of the entry table, name heap, index and segment
-//     table, parses the entry table, segment table and persisted tiered
-//     index, and validates every offset, including the signature tiling.
-//     It reads no signature and no graph bytes. Names stay in the mapped
-//     name heap; name(i) returns a view of them.
+//     table, parses the segment table and persisted tiered index, and
+//     validates every entry record's offsets, including the signature
+//     tiling, in one pass. It copies no entry record and reads no
+//     signature and no graph bytes: name(i), width(i) and the offsets
+//     behind signature(i) and graph(i) are decoded from the mapped entry
+//     table when called, and name(i) is a view of the mapped name heap.
 //   * signature(i) checks the entry's signature CRC and materializes one
 //     GraphSignature from the mapped signature heap on first use
 //     (GraphSignature::FromParts); with the tiered index pruning well, a
@@ -56,13 +65,13 @@
 //     std::once_flag, so concurrent searches over one store are safe
 //     (exercised by tests/stress/sharded_search_stress_test.cc).
 //
-// What a cold query pays at 100K entries (a 128 MB manifest, 111 MB of
-// it signatures; 4-vCPU Xeon VM, median of 10 cold opens): ~29 ms of
-// EnsureMetadata, of which the section CRCs take ~8.6 ms (index 5.3,
-// entry table 3.0, name heap 0.4), the entry-table parse ~5 ms, the
-// index parse ~14.5 ms and the per-entry slots ~0.6 ms. The search then
-// checksums only the ~120 signatures its descent evaluates (~130 KB),
-// where a whole-heap CRC took ~56 ms of an ~87 ms EnsureMetadata.
+// What a cold query pays at 100K entries (a 121 MB manifest, 111 MB of
+// it signatures; 4-vCPU Xeon VM, median of 21 cold calls): 19–28 ms of
+// EnsureMetadata, depending on the host's state. Most of it is the CRCs
+// of the entry table, name heap and index (~8.6 ms) and the index parse
+// (~14.5 ms); the validation pass over the entry records copies
+// nothing. The search then checksums only the ~120 signatures its
+// descent evaluates (~130 KB), where a whole-heap CRC took ~56 ms.
 //
 // When corruption is reported: a flipped byte in the header, the entry
 // table, the name heap, the index or the segment table fails Open or
@@ -73,10 +82,10 @@
 // graph(i) for the entries of that segment. A walk over every
 // signature(i) and graph(i) finds every flipped byte.
 //
-// Search results over a store are bit-identical to loading the same
-// catalog monolithically and searching it: both run the shared
-// SearchCatalogView core, and the signatures/graphs/index round-trip
-// bit-exactly.
+// Search results over a store are bit-identical to searching the
+// catalog it was written from, or the one ReadShardedCatalog reads back:
+// all run the shared SearchCatalogView core, and the signatures, graphs
+// and index round-trip bit-exactly.
 
 #ifndef DEPMATCH_CORE_SHARDED_STORE_H_
 #define DEPMATCH_CORE_SHARDED_STORE_H_
@@ -150,6 +159,15 @@ class ShardedCatalogStore {
   explicit ShardedCatalogStore(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
+
+// Reads the whole store at `dir` back into a GraphCatalog: Open,
+// EnsureMetadata, then every entry in order — its signature (checking
+// that entry's CRC), its graph, and Insert(name, graph). A flipped byte
+// or a truncation anywhere in the store fails the read, and a missing
+// manifest is NotFound. Insert recomputes each signature, so the catalog
+// is bit-identical to the one that was written. The persisted tiered
+// index is not installed; call BuildIndex on the result.
+Result<GraphCatalog> ReadShardedCatalog(const std::string& dir);
 
 // SearchCatalogView over a sharded store (EnsureMetadata is run first;
 // its failure is returned as the search error). Uses the store's

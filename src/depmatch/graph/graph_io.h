@@ -22,8 +22,9 @@
 // an unknown version is rejected with a message naming both versions.
 //
 // The low-level primitives (little-endian append/read, CRC-32) are
-// exported under graphio:: so the catalog store (core/graph_catalog.h)
-// frames its multi-graph files with the same encoding and checksum.
+// exported under graphio:: so the sharded catalog store
+// (core/sharded_store.h) frames its manifest and segment files with the
+// same encoding and checksum.
 
 #ifndef DEPMATCH_GRAPH_GRAPH_IO_H_
 #define DEPMATCH_GRAPH_GRAPH_IO_H_
@@ -65,9 +66,9 @@ bool ReadF64(std::string_view bytes, size_t* cursor, double* value);
 // initial value 0xFFFFFFFF, final XOR 0xFFFFFFFF (equal to zlib's
 // crc32(0, data, size)), check value 0xCBF43926 for "123456789". It
 // detects any error burst of up to 32 bits, so every single-byte
-// corruption of a blob is caught. The bytes of DMG1 blobs, DMC1 catalog
-// files, DMS1 manifests and segments, and DMR1/DMP1 service frames
-// depend on these parameters; changing them changes every format. A
+// corruption of a blob is caught. The bytes of DMG1 blobs, DMS1
+// manifests and segments, and DMR1/DMP1 service frames depend on these
+// parameters; changing them changes every format. A
 // slice-by-16 table kernel (16 bytes per step, no alignment needed)
 // computes it; tests compare it with the bytewise table loop.
 uint32_t Crc32(std::string_view bytes);

@@ -10,7 +10,6 @@
 
 #include "depmatch/common/rng.h"
 #include "depmatch/graph/dependency_graph.h"
-#include "depmatch/graph/graph_io.h"
 #include "depmatch/match/graph_signature.h"
 #include "depmatch/match/metric.h"
 
@@ -228,73 +227,6 @@ TEST(GraphCatalogTest, CopySharesEntriesAndIsolatesUpdates) {
       ExpectSameRanking(*flat, *indexed, "indexed vs flat after a copy");
     }
   }
-}
-
-TEST(GraphCatalogTest, SaveLoadRoundTripIsBitIdentical) {
-  GraphCatalog catalog = MixedCatalog(7, 6);
-  std::string path = testing::TempDir() + "/catalog_roundtrip.dmc";
-  ASSERT_TRUE(catalog.Save(path).ok());
-
-  auto loaded = GraphCatalog::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->size(), catalog.size());
-  for (size_t e = 0; e < catalog.size(); ++e) {
-    EXPECT_EQ(loaded->name(e), catalog.name(e));
-    const DependencyGraph& a = catalog.graph(e);
-    const DependencyGraph& b = loaded->graph(e);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.name(i), b.name(i));
-      for (size_t j = 0; j < a.size(); ++j) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.mi(i, j)),
-                  std::bit_cast<uint64_t>(b.mi(i, j)));
-      }
-    }
-  }
-
-  // A search over the loaded catalog is indistinguishable from one over
-  // the original (signatures are recomputed deterministically on load).
-  DependencyGraph query = RandomGraph(5, 99);
-  CatalogSearchOptions options;
-  options.k = 3;
-  options.match.cardinality = Cardinality::kOnto;
-  options.match.metric = MetricKind::kMutualInfoNormal;
-  auto original = SearchCatalog(query, catalog, options);
-  auto reloaded = SearchCatalog(query, *loaded, options);
-  ASSERT_TRUE(original.ok()) << original.status();
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  ExpectSameRanking(*original, *reloaded, "loaded catalog");
-}
-
-TEST(GraphCatalogTest, LoadRejectsCorruptionTruncationAndMissing) {
-  GraphCatalog catalog = MixedCatalog(11, 3);
-  std::string path = testing::TempDir() + "/catalog_corrupt.dmc";
-  ASSERT_TRUE(catalog.Save(path).ok());
-  std::string bytes;
-  ASSERT_TRUE(graphio::ReadFileToString(path, &bytes).ok());
-
-  // Every single-byte flip is caught by the envelope checksum.
-  for (size_t i = 0; i < bytes.size(); i += 7) {
-    std::string corrupted = bytes;
-    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x3C);
-    std::string bad_path = testing::TempDir() + "/catalog_bad.dmc";
-    ASSERT_TRUE(graphio::WriteStringToFile(bad_path, corrupted).ok());
-    EXPECT_FALSE(GraphCatalog::Load(bad_path).ok())
-        << "flip at byte " << i << " went undetected";
-  }
-  // Truncations (sampled) are caught too.
-  for (size_t keep = 0; keep < bytes.size(); keep += 13) {
-    std::string short_path = testing::TempDir() + "/catalog_short.dmc";
-    ASSERT_TRUE(
-        graphio::WriteStringToFile(short_path, bytes.substr(0, keep)).ok());
-    EXPECT_FALSE(GraphCatalog::Load(short_path).ok())
-        << "truncation to " << keep << " bytes accepted";
-  }
-  EXPECT_EQ(
-      GraphCatalog::Load(testing::TempDir() + "/no_such_catalog.dmc")
-          .status()
-          .code(),
-      StatusCode::kNotFound);
 }
 
 TEST(GraphCatalogTest, EntryBoundIsAdmissible) {

@@ -102,19 +102,13 @@ void ExpectSignaturesBitIdentical(const GraphSignature& a,
   }
 }
 
-// True iff the store at `dir` is rejected at some stage of its lazy
-// lifecycle: Open (header), EnsureMetadata (section checksums and
-// offset validation), signature materialization (per-entry signature
-// checksums), or graph materialization (segment checksums).
+// True iff reading the store at `dir` back into a catalog fails. The
+// read walks every stage of the store's lazy lifecycle: Open (header),
+// EnsureMetadata (section checksums and offset validation), every
+// signature (per-entry signature checksums) and every graph (segment
+// checksums).
 bool StoreRejects(const std::string& dir) {
-  auto store = ShardedCatalogStore::Open(dir);
-  if (!store.ok()) return true;
-  if (!store->EnsureMetadata().ok()) return true;
-  for (size_t e = 0; e < store->size(); ++e) {
-    if (!store->signature(e).ok()) return true;
-    if (!store->graph(e).ok()) return true;
-  }
-  return false;
+  return !ReadShardedCatalog(dir).ok();
 }
 
 // Manifest byte offset of each entry's signature. Signatures are
@@ -246,6 +240,10 @@ TEST(ShardedStoreTest, EmptyCatalogRoundTrips) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ranked.empty());
   EXPECT_EQ(result->stats.entries_total, 0u);
+
+  auto loaded = ReadShardedCatalog(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded->empty());
 }
 
 TEST(ShardedStoreTest, SingleEntryStore) {
@@ -306,14 +304,68 @@ TEST(ShardedStoreTest, DuplicateSignatureEntriesAcrossShards) {
             std::bit_cast<uint64_t>(sharded->ranked[1].ranking_key));
 }
 
+TEST(ShardedStoreTest, ReadCatalogRoundTripIsBitIdentical) {
+  GraphCatalog catalog = MixedCatalog(7, 6);
+  catalog.BuildIndex();
+  std::string dir = testing::TempDir() + "/sharded_read_roundtrip";
+  ShardedStoreWriteOptions write;
+  write.entries_per_segment = 4;
+  ASSERT_TRUE(WriteShardedCatalog(catalog, dir, write).ok());
+
+  auto loaded = ReadShardedCatalog(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), catalog.size());
+  // The persisted index is not installed.
+  EXPECT_EQ(loaded->index(), nullptr);
+  auto store = ShardedCatalogStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status();
+  for (size_t e = 0; e < catalog.size(); ++e) {
+    EXPECT_EQ(loaded->name(e), catalog.name(e));
+    ExpectGraphsBitIdentical(loaded->graph(e), catalog.graph(e));
+    // Insert recomputed the signature; it equals the persisted one.
+    auto stored = store->signature(e);
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    ExpectSignaturesBitIdentical(loaded->signature(e), **stored);
+  }
+
+  // A search over the read catalog ranks exactly like one over the
+  // source, flat and after BuildIndex, at 1 and 4 threads.
+  DependencyGraph query = RandomGraph(5, 99);
+  CatalogSearchOptions options = DefaultSearch();
+  options.k = 3;
+  for (bool indexed : {false, true}) {
+    if (indexed) {
+      loaded->BuildIndex();
+      ASSERT_NE(loaded->index(), nullptr);
+    }
+    options.use_index = indexed;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      options.num_threads = threads;
+      auto original = SearchCatalog(query, catalog, options);
+      auto reloaded = SearchCatalog(query, *loaded, options);
+      ASSERT_TRUE(original.ok()) << original.status();
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+      ExpectSameRanking(*original, *reloaded,
+                        indexed ? "indexed read catalog" : "flat read catalog");
+    }
+  }
+}
+
 TEST(ShardedStoreTest, OpenRejectsMissingAndForeignFiles) {
   EXPECT_FALSE(ShardedCatalogStore::Open(testing::TempDir() + "/no_such_dir")
                    .ok());
+  EXPECT_EQ(ReadShardedCatalog(testing::TempDir() + "/no_such_dir")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
   // A directory whose manifest is a different format entirely.
   std::string dir = testing::TempDir() + "/sharded_foreign";
   GraphCatalog catalog = MixedCatalog(71, 2);
   ASSERT_TRUE(WriteShardedCatalog(catalog, dir).ok());
-  ASSERT_TRUE(catalog.Save(dir + "/MANIFEST.dms").ok());  // overwrite: DMC1
+  // Overwrite the manifest with a DMG1 graph blob.
+  ASSERT_TRUE(graphio::WriteStringToFile(dir + "/MANIFEST.dms",
+                                         SerializeGraphBinary(catalog.graph(0)))
+                  .ok());
   EXPECT_TRUE(StoreRejects(dir));
 }
 

@@ -101,9 +101,10 @@ else
   # depbench's smoke builds its own ASan+UBSan tree (.bench_build/) and
   # runs every workload's correctness gates, including serve_ingest's
   # replay of each served response against the snapshot it names. The
-  # decoder suites (graph_test: DMG1 and the CRC kernel; core_test: DMC1
-  # and DMS1; service_test: DMR1/DMP1 frames) run here too, because an
-  # over-read past a buffer's tail is caught by ASan, not by stage 4.
+  # decoder suites (graph_test: DMG1 and the CRC kernel; core_test: DMS1;
+  # service_test: DMR1/DMP1 frames) run here too, because an over-read
+  # past a buffer's tail is caught by ASan, not by stage 4. service_test
+  # also boots the ASan-built depmatch_serve from a sharded store.
   note "ASan+UBSan smoke (preset: asan)"
   if cmake --preset asan >/dev/null \
       && cmake --build --preset asan -j "$JOBS" \
@@ -129,12 +130,17 @@ else
   fi
 
   # ---- 6. TSan stress -----------------------------------------------------
+  # The daemon suite of service_test boots the TSan-built depmatch_serve
+  # and stops it with SIGTERM.
   note "TSan stress (preset: tsan, ctest label: tsan_stress)"
   if cmake --preset tsan >/dev/null \
       && cmake --build --preset tsan -j "$JOBS" \
           --target tsan_stress_test bench_match_search bench_pipeline \
           bench_catalog bench_catalog_scale bench_service bench_incremental \
+          service_test \
       && TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/tsan_stress_test \
+      && TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/service_test \
+          --gtest_filter='DepmatchServeTest.*' \
       && TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_match_search --smoke \
       && TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_pipeline --smoke \
       && TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_catalog --smoke \

@@ -11,13 +11,19 @@
 // stats/health — with per-request deadlines, bounded admission
 // (explicit kOverloaded shedding), and micro-batched search execution.
 //
-// The starting catalog is loaded from --catalog (a GraphCatalog::Save
-// file) or generated synthetically (--corpus_entries, datagen's banded
-// graph corpus); both may be empty and filled via insert requests.
+// The starting catalog is read from --catalog (a sharded store
+// directory written by WriteShardedCatalog, core/sharded_store.h) or
+// generated synthetically (--corpus_entries, datagen's banded graph
+// corpus); both may be empty and filled via insert requests.
 //
 //   depmatch_serve --socket /tmp/depmatch.sock --corpus_entries 64
 //
-// Runs until SIGINT/SIGTERM.
+// Runs until SIGINT/SIGTERM. Both signals are blocked from before the
+// service starts its threads (which inherit the mask) and are taken only
+// inside sigsuspend, so one sent at any point after the catalog is
+// loaded — including on the `listening` line — stops the daemon cleanly.
+
+#include <pthread.h>
 
 #include <csignal>
 #include <cstdio>
@@ -28,6 +34,7 @@
 #include "depmatch/common/flags.h"
 #include "depmatch/common/status.h"
 #include "depmatch/core/graph_catalog.h"
+#include "depmatch/core/sharded_store.h"
 #include "depmatch/datagen/graph_corpus.h"
 #include "depmatch/service/match_service.h"
 #include "depmatch/service/server.h"
@@ -53,8 +60,8 @@ int main(int argc, char** argv) {
   flags.AddString("socket", "/tmp/depmatch_serve.sock",
                   "AF_UNIX socket path to listen on");
   flags.AddString("catalog", "",
-                  "starting catalog file (GraphCatalog::Save format); "
-                  "empty = use --corpus_entries");
+                  "starting catalog: a sharded store directory "
+                  "(WriteShardedCatalog); empty = use --corpus_entries");
   flags.AddInt64("corpus_entries", 0,
                  "entries of synthetic banded corpus to start with when "
                  "no --catalog is given (0 = start empty)");
@@ -87,7 +94,7 @@ int main(int argc, char** argv) {
   GraphCatalog catalog;
   if (!flags.GetString("catalog").empty()) {
     Result<GraphCatalog> loaded =
-        GraphCatalog::Load(flags.GetString("catalog"));
+        depmatch::ReadShardedCatalog(flags.GetString("catalog"));
     if (!loaded.ok()) {
       std::fprintf(stderr, "failed to load catalog: %s\n",
                    loaded.status().ToString().c_str());
@@ -125,6 +132,20 @@ int main(int argc, char** argv) {
   depmatch::service::ServerOptions server_options;
   server_options.socket_path = flags.GetString("socket");
 
+  // Block the stop signals before MatchService starts any thread, so
+  // that every thread inherits the mask and a stop signal stays pending
+  // until sigsuspend below takes it.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  sigset_t wait_mask;
+  pthread_sigmask(SIG_BLOCK, &stop_signals, &wait_mask);
+  sigdelset(&wait_mask, SIGINT);
+  sigdelset(&wait_mask, SIGTERM);
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+
   size_t starting_entries = catalog.size();
   auto service = std::make_unique<depmatch::service::MatchService>(
       std::move(catalog), service_options);
@@ -140,12 +161,8 @@ int main(int argc, char** argv) {
                server.socket_path().c_str(), starting_entries);
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  sigset_t empty_mask;
-  sigemptyset(&empty_mask);
   while (g_stop_requested == 0) {
-    sigsuspend(&empty_mask);  // returns on any handled signal
+    sigsuspend(&wait_mask);  // returns once a handler has run
   }
 
   std::fprintf(stdout, "depmatch_serve: shutting down\n");
